@@ -27,7 +27,7 @@ fn main() {
         "Section 6, paragraph 2 (Find is lock-free but not wait-free)",
     );
 
-    let tree: NbBst<u64, u64> = NbBst::new();
+    let tree: NbBst<u64, u64> = NbBst::new().one_key_leaves();
     for k in [1u64, 2, 3] {
         tree.insert_entry(k, k).unwrap();
     }

@@ -10,7 +10,7 @@ use nbbst_core::NbBst;
 fn main() {
     nbbst_bench::banner("F1/F2", "insertion and deletion shapes", "Figures 1 and 2");
 
-    let tree: NbBst<u64, &str> = NbBst::new();
+    let tree: NbBst<u64, &str> = NbBst::new().one_key_leaves();
     tree.insert_entry(20, "B").unwrap();
     tree.insert_entry(40, "D").unwrap();
     println!("\ninitial tree (leaves B=20, D=40):\n{}", tree.render());

@@ -55,7 +55,7 @@ fn naive_fig3c() {
 
 fn efrb_fig3b() {
     println!("--- the same Delete(C) || Delete(E) schedule on the EFRB tree ---");
-    let t: NbBst<u64, u64> = NbBst::new();
+    let t: NbBst<u64, u64> = NbBst::new().one_key_leaves();
     for k in [A, C, E, H] {
         t.insert_entry(k, k).unwrap();
     }
@@ -111,7 +111,7 @@ fn efrb_fig3b() {
 
 fn efrb_fig3c() {
     println!("--- the same Delete(E) || Insert(F) schedule on the EFRB tree ---");
-    let t: NbBst<u64, u64> = NbBst::new();
+    let t: NbBst<u64, u64> = NbBst::new().one_key_leaves();
     for k in [A, C, E, H] {
         t.insert_entry(k, k).unwrap();
     }

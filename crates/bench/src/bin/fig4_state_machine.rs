@@ -37,7 +37,7 @@ fn main() {
     let mut table = Table::new(&["transition (Figure 4 edge)", "CAS type", "successes"]);
     table.row(&["Clean -> IFlag", "iflag", &s.iflag_success.to_string()]);
     table.row(&[
-        "child swing (insert)",
+        "child swing (leaf replaced)",
         "ichild",
         &s.ichild_success.to_string(),
     ]);
@@ -95,5 +95,13 @@ fn main() {
     println!(
         "  mark = dchild = dunflag             ({} each)",
         s.mark_success
+    );
+    println!(
+        "  ichild = inserts + copy-deletes     ({} = {} + {})",
+        s.ichild_success, s.inserts_true, s.deletes_by_copy
+    );
+    println!(
+        "  deletes = dchild + copy-deletes     ({} = {} + {})",
+        s.deletes_true, s.dchild_success, s.deletes_by_copy
     );
 }

@@ -22,7 +22,7 @@ fn main() {
     );
     // Leaves A=10, C=30, E=50 (figure letters), internals keyed by
     // insertion order; F=60 is the incoming insert.
-    let t: NbBst<u64, u64> = NbBst::new();
+    let t: NbBst<u64, u64> = NbBst::new().one_key_leaves();
     for k in [10u64, 30, 50] {
         t.insert_entry(k, k).unwrap();
     }

@@ -11,7 +11,7 @@ use nbbst_core::NbBst;
 fn main() {
     nbbst_bench::banner("F6", "sentinel trees", "Figure 6 and Section 4.1");
 
-    let t: NbBst<u64, u64> = NbBst::new();
+    let t: NbBst<u64, u64> = NbBst::new().one_key_leaves();
     println!("(a) empty dictionary:\n{}", t.render());
     assert_eq!(t.len_slow(), 0);
     assert_eq!(t.height(), 1);

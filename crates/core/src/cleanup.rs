@@ -16,7 +16,7 @@
 //! child pointer; the `f4_stats_overhead`-style cost comparison lives in
 //! this module's tests and the micro benches.
 
-use crate::node::{Node, UpdateWordExt};
+use crate::node::{internal_ptr, NodePtrExt, NodeRef, UpdateWordExt};
 use crate::state::State;
 use crate::tree::NbBst;
 use nbbst_dictionary::real_vs_node;
@@ -46,23 +46,25 @@ where
     /// ```
     pub fn contains_with_cleanup(&self, key: &K) -> bool {
         let guard = self.pin();
-        let mut cur: &Node<K, V> = self.root();
+        let root = internal_ptr(self.root());
+        let mut word = root;
         loop {
-            if cur.is_leaf {
-                return cur.key.as_key() == Some(key);
-            }
+            // SAFETY: the root, or a child word read under the pin.
+            let cur = match unsafe { word.node() } {
+                NodeRef::Leaf(leaf) => return leaf.get(key).is_some(),
+                NodeRef::Internal(node) => node,
+            };
             let update = cur.load_update(&guard);
             if update.state() == State::Mark {
                 // `cur` is marked: its deletion is unfinished. Complete the
                 // dchild + dunflag steps on the deleter's behalf, then
                 // restart from the root — `cur` is now off the path.
                 self.help_marked(update, &guard);
-                cur = self.root();
+                word = root;
                 continue;
             }
             let go_left = real_vs_node(key, &cur.key) == CmpOrdering::Less;
-            // SAFETY: reachable child under pin.
-            cur = unsafe { cur.load_child(go_left, &guard).deref() };
+            word = cur.load_child(go_left, &guard);
         }
     }
 }
@@ -72,8 +74,9 @@ mod tests {
     use super::*;
     use crate::raw::{MarkOutcome, RawDelete};
 
+    /// The paper's tree: every delete here runs the mark circuit.
     fn tree(keys: &[u64]) -> NbBst<u64, u64> {
-        let t = NbBst::with_stats();
+        let t = NbBst::with_stats().one_key_leaves();
         for &k in keys {
             t.insert_entry(k, k).unwrap();
         }

@@ -16,26 +16,10 @@
 //! linearizable: they are `Find`s (a min/max query is a `Search` steered
 //! hard left/right, reaching a leaf that was on its search path).
 
+use crate::node::{internal_ptr, NodePtrExt, NodeRef};
 use crate::tree::NbBst;
 use crate::view::InorderCursor;
-use nbbst_dictionary::SentinelKey;
 use std::ops::Bound;
-
-fn in_lo<K: Ord>(k: &K, lo: Bound<&K>) -> bool {
-    match lo {
-        Bound::Unbounded => true,
-        Bound::Included(b) => k >= b,
-        Bound::Excluded(b) => k > b,
-    }
-}
-
-fn in_hi<K: Ord>(k: &K, hi: Bound<&K>) -> bool {
-    match hi {
-        Bound::Unbounded => true,
-        Bound::Included(b) => k <= b,
-        Bound::Excluded(b) => k < b,
-    }
-}
 
 impl<K, V> NbBst<K, V>
 where
@@ -59,14 +43,7 @@ where
     /// ```
     pub fn get_with<R>(&self, key: &K, f: impl FnOnce(&V) -> R) -> Option<R> {
         let guard = self.pin();
-        let s = self.search(key, &guard);
-        // SAFETY: leaf protected by `guard`.
-        let l_ref = unsafe { s.l.deref() };
-        if l_ref.key.as_key() == Some(key) {
-            l_ref.value.as_ref().map(f)
-        } else {
-            None
-        }
+        self.search(key, &guard).leaf.get(key).map(f)
     }
 
     /// The smallest real key (a leftmost `Search`). `None` when empty.
@@ -82,19 +59,24 @@ where
 
     fn extreme_key(&self, min: bool) -> Option<K> {
         let guard = self.pin();
-        let mut cur = self.root();
+        let mut word = internal_ptr(self.root());
         loop {
-            if cur.is_leaf {
-                // A sentinel leaf here means the dictionary is empty on
-                // this side (min and max both land on `[∞1]` then).
-                return cur.key.as_key().cloned();
-            }
+            // SAFETY: the root, or a child word read under the pin.
+            let node = match unsafe { word.node() } {
+                // Sentinels never share a leaf with real keys, so a
+                // sentinel leaf here (no keys) means the dictionary is
+                // empty (min and max both land on `[∞1]` then).
+                NodeRef::Leaf(leaf) => {
+                    let keys = leaf.keys();
+                    return if min { keys.first() } else { keys.last() }.cloned();
+                }
+                NodeRef::Internal(node) => node,
+            };
             // Min: always left. Max: right under real routing keys, but
             // left under sentinel routing keys — all real content is
             // strictly less than the sentinels.
-            let go_left = min || cur.key.is_sentinel();
-            // SAFETY: reachable child under pin.
-            cur = unsafe { cur.load_child(go_left, &guard).deref() };
+            let go_left = min || node.key.is_sentinel();
+            word = node.load_child(go_left, &guard);
         }
     }
 
@@ -141,19 +123,14 @@ where
     }
 
     /// [`NbBst::for_each_entry`] restricted to `[lo, hi]`-style bounds,
-    /// pruning subtrees outside the range during the descent.
+    /// pruning subtrees outside the range during the descent. Keys come
+    /// strictly ascending, each at most once, even under concurrent
+    /// updates.
     pub fn for_each_in_range(&self, lo: Bound<&K>, hi: Bound<&K>, mut f: impl FnMut(&K, &V)) {
         let guard = self.pin();
-        let mut cursor = InorderCursor::with_bounds(self.root(), &guard, lo, hi);
-        while let Some(leaf) = cursor.next_leaf() {
-            if let SentinelKey::Key(k) = &leaf.key {
-                // The cursor prunes whole subtrees; leaves of partially
-                // overlapping subtrees still need the exact bound check.
-                if in_lo(k, lo) && in_hi(k, hi) {
-                    let v = leaf.value.as_ref().expect("real leaf has value");
-                    f(k, v);
-                }
-            }
+        let mut cursor = InorderCursor::new(self.root(), &guard, lo, hi);
+        while let Some((k, v)) = cursor.next_entry() {
+            f(k, v);
         }
     }
 
@@ -343,7 +320,7 @@ mod tests {
         std::thread::Builder::new()
             .stack_size(192 * 1024)
             .spawn(|| {
-                let t: NbBst<u64, u64> = NbBst::new();
+                let t: NbBst<u64, u64> = NbBst::new().one_key_leaves();
                 for k in 0..N {
                     t.insert_entry(k, k).unwrap();
                 }
@@ -367,7 +344,7 @@ mod tests {
         // iterative rewrite the reader recursed once per level and
         // overflowed its 128 KiB stack deterministically.
         const N: u64 = 4_096;
-        let t: NbBst<u64, u64> = NbBst::new();
+        let t: NbBst<u64, u64> = NbBst::new().one_key_leaves();
         for k in 0..N {
             t.insert_entry(k, k).unwrap();
         }

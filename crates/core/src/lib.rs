@@ -12,15 +12,26 @@
 //! the top (Figure 6). Every internal node carries an *update word* — one
 //! CAS word packing a state (`Clean`/`IFlag`/`DFlag`/`Mark`) with a pointer
 //! to an *Info record*. An `Insert` flags the parent (`iflag`), swings one
-//! child pointer to a fresh three-node subtree (`ichild`), and unflags
-//! (`iunflag`). A `Delete` flags the grandparent (`dflag`), permanently
-//! marks the parent (`mark`), splices it out (`dchild`), and unflags
-//! (`dunflag`) — or, if the mark fails, removes its flag with a
+//! child pointer to a fresh replacement for the leaf (`ichild`), and
+//! unflags (`iunflag`). A `Delete` flags the grandparent (`dflag`),
+//! permanently marks the parent (`mark`), splices it out (`dchild`), and
+//! unflags (`dunflag`) — or, if the mark fails, removes its flag with a
 //! `backtrack` CAS and retries. Because each flag publishes an Info record
 //! describing the remaining steps, any thread that runs into a flag can
 //! *help* the stalled operation to completion — this is what makes the
 //! structure non-blocking under arbitrary crash failures.
 //!
+//! ## Fat leaves
+//!
+//! The paper's leaves hold one key. Here a leaf holds up to 32 sorted
+//! entries and is immutable: an Insert, and a Delete that leaves the leaf
+//! non-empty, replace it with an edited copy (or, when an Insert finds it
+//! full, with an internal node over two half leaves) through the insertion
+//! circuit above. Only a Delete that would empty its leaf runs the deletion
+//! circuit. The CAS steps, Info records and Figure 4 are the paper's, and
+//! capacity 1 (`NbBst::new().one_key_leaves()`) is exactly its tree.
+//! DESIGN.md §13 has the argument.
+
 //! ## Entry points
 //!
 //! * [`NbBst`] — the tree. `insert` / `remove` / `contains` / `get`
@@ -34,9 +45,12 @@
 //! ## Memory management
 //!
 //! The paper assumes garbage collection; here every attempt runs under an
-//! epoch pin ([`nbbst_reclaim`]), nodes are retired at their child CAS and
-//! Info records at their unflag/backtrack CAS — the scheme sketched in the
-//! paper's Section 6. See DESIGN.md §2 for the ABA discharge argument.
+//! epoch pin ([`nbbst_reclaim`]) and nodes are retired at their child CAS,
+//! as the paper's Section 6 sketches. Info records are retired later than
+//! Section 6 suggests: when the next flag or mark CAS displaces them from
+//! the Clean update word their circuit left them in, so a flag CAS never
+//! compares against a recycled record. DESIGN.md §2 lists the comparands
+//! that remain exposed to address reuse.
 
 #![warn(missing_docs, missing_debug_implementations)]
 

@@ -1,17 +1,24 @@
 //! Tree nodes and Info records (Figure 7 of the paper).
 //!
-//! An internal node carries a routing key, two atomic child pointers, and
+//! An [`Internal`] node carries a routing key, two atomic child words, and
 //! the *update field*: a single CAS word packing a 2-bit [`State`] with a
-//! pointer to an [`Info`] record. A leaf carries a key and (for real keys)
-//! a value. The paper uses two node types; we use one struct with an
-//! immutable `is_leaf` discriminant, which keeps the atomics simple (child
-//! pointers can point at either kind) at the cost of three unused words per
-//! leaf.
+//! pointer to an [`Info`] record. A [`Leaf`] is immutable once published
+//! and holds up to the tree's leaf capacity of sorted `(key, value)`
+//! entries inline in one allocation; an update replaces a leaf by a fresh
+//! copy (DESIGN.md §13). At capacity 1 this is exactly the paper's
+//! one-key leaf.
+//!
+//! A child word is a pointer to either kind, with [`LEAF_TAG`] set in its
+//! low bit when the pointee is a leaf, so a traversal knows what it reached
+//! from the word it already loaded, without another dependent load.
 
 use crate::state::State;
-use nbbst_dictionary::SentinelKey;
+use nbbst_dictionary::{real_vs_node, SentinelKey};
 use nbbst_reclaim::{Atomic, Guard, Shared};
+use std::cmp::Ordering as CmpOrdering;
 use std::fmt;
+use std::marker::PhantomData;
+use std::mem::MaybeUninit;
 use std::sync::atomic::Ordering;
 
 // Memory orderings are chosen per call site (there is deliberately no
@@ -22,86 +29,186 @@ use std::sync::atomic::Ordering;
 // teardown use `Relaxed`. The site-by-site table, and the loom scenario
 // justifying each choice, live in DESIGN.md ("Memory orderings").
 
-/// A node of the EFRB tree (the paper's `Internal` and `Leaf` types fused;
-/// Figure 7 lines 5–13).
-pub struct Node<K, V> {
-    /// Immutable key (real or sentinel); set at allocation, never changed.
-    pub(crate) key: SentinelKey<K>,
-    /// Auxiliary data; `Some` only for leaves holding real keys.
-    pub(crate) value: Option<V>,
-    /// Immutable discriminant.
-    pub(crate) is_leaf: bool,
-    /// The update field: `state` in the 2 tag bits, Info pointer above
-    /// (Figure 7 lines 1–4: "stored in one CAS word").
-    pub(crate) update: Atomic<Info<K, V>>,
-    /// Left child (internal nodes only; never null once published).
-    pub(crate) left: Atomic<Node<K, V>>,
-    /// Right child (internal nodes only; never null once published).
-    pub(crate) right: Atomic<Node<K, V>>,
+/// Entries per leaf of the default tree (`NbBst::new`). Chosen by A/B runs
+/// of 16 against 32 (`BENCH_fat_leaves.json`).
+pub(crate) const LEAF_CAPACITY: usize = 32;
+
+/// Low bit of a child word: set iff the word points at a [`Leaf`].
+const LEAF_TAG: usize = 1;
+
+/// The opaque pointee type of a child word: an [`Internal`] node, or a
+/// [`Leaf`] when the word carries [`LEAF_TAG`]. Never constructed; only its
+/// alignment matters (it leaves the tag bit free in every child word).
+#[repr(align(8))]
+pub(crate) struct Node<K, V>(PhantomData<(K, V)>);
+
+/// A loaded (or freshly built) child word.
+pub(crate) type NodePtr<'g, K, V> = Shared<'g, Node<K, V>>;
+
+/// A child word resolved to the node it names.
+pub(crate) enum NodeRef<'g, K, V> {
+    /// A routing node.
+    Internal(&'g Internal<K, V>),
+    /// A leaf.
+    Leaf(&'g Leaf<K, V>),
 }
 
-// SAFETY: nodes are immutable except through their atomic fields; sharing
-// them across threads is exactly the algorithm's design, provided keys and
-// values can be shared.
-unsafe impl<K: Send + Sync, V: Send + Sync> Send for Node<K, V> {}
-unsafe impl<K: Send + Sync, V: Send + Sync> Sync for Node<K, V> {}
+/// The child word naming `node`.
+pub(crate) fn internal_ptr<'g, K, V>(node: *const Internal<K, V>) -> NodePtr<'g, K, V> {
+    // SAFETY: a plain untagged pointer word; dereferencing it later is
+    // justified at each use.
+    unsafe { Shared::from_data(node as usize) }
+}
 
-impl<K, V> Node<K, V> {
-    /// A leaf node; `value` is `None` for sentinel leaves.
-    pub(crate) fn leaf(key: SentinelKey<K>, value: Option<V>) -> Node<K, V> {
-        Node {
-            key,
-            value,
-            is_leaf: true,
-            update: Atomic::null(),
-            left: Atomic::null(),
-            right: Atomic::null(),
+/// The child word naming `leaf` (tagged as a leaf).
+pub(crate) fn leaf_ptr<'g, K, V>(leaf: *const Leaf<K, V>) -> NodePtr<'g, K, V> {
+    // SAFETY: as in `internal_ptr`; leaves are at least 8-aligned, so the
+    // tag bit is free.
+    unsafe { Shared::from_data(leaf as usize | LEAF_TAG) }
+}
+
+/// Operations on child words.
+pub(crate) trait NodePtrExt<'g, K, V> {
+    /// Whether the word names a leaf (no memory access).
+    fn is_leaf(&self) -> bool;
+    /// Resolves the word to the node it names.
+    ///
+    /// # Safety
+    ///
+    /// The word is non-null and its node is live for `'g`: guard-protected,
+    /// unpublished and owned by the caller, or owned at teardown.
+    unsafe fn node(self) -> NodeRef<'g, K, V>;
+    /// Hands the single node the word names (not its children) to the
+    /// guard's collector.
+    ///
+    /// # Safety
+    ///
+    /// As [`Guard::defer_destroy`]: the node is unlinked and retired once.
+    unsafe fn retire(self, guard: &Guard);
+    /// Frees the node the word names and, for an internal node, the whole
+    /// subtree under it.
+    ///
+    /// # Safety
+    ///
+    /// The caller owns the subtree exclusively (never published, or
+    /// teardown) and no part of it is freed twice.
+    unsafe fn free_subtree(self);
+}
+
+impl<'g, K, V> NodePtrExt<'g, K, V> for NodePtr<'g, K, V> {
+    #[inline]
+    fn is_leaf(&self) -> bool {
+        self.tag() & LEAF_TAG != 0
+    }
+
+    // SAFETY: callers uphold the trait's `# Safety` contract.
+    #[inline]
+    unsafe fn node(self) -> NodeRef<'g, K, V> {
+        if self.is_leaf() {
+            // SAFETY: the tag says the word was made by `leaf_ptr`; liveness
+            // is the caller's contract.
+            NodeRef::Leaf(unsafe { &*self.as_raw().cast::<Leaf<K, V>>() })
+        } else {
+            // SAFETY: untagged words are made by `internal_ptr`, as above.
+            NodeRef::Internal(unsafe { &*self.as_raw().cast::<Internal<K, V>>() })
         }
     }
 
-    /// An internal node with the given children (raw pointers to already-
-    /// allocated nodes; ownership conceptually transfers to the tree once
-    /// this node is published).
-    pub(crate) fn internal(
+    unsafe fn retire(self, guard: &Guard) {
+        // SAFETY: the typed pointer is the allocation `leaf_ptr` or
+        // `internal_ptr` was given; unlinked and unique per the contract.
+        unsafe {
+            if self.is_leaf() {
+                guard.defer_destroy(Shared::<Leaf<K, V>>::from_data(self.as_raw() as usize));
+            } else {
+                guard.defer_destroy(Shared::<Internal<K, V>>::from_data(self.as_raw() as usize));
+            }
+        }
+    }
+
+    unsafe fn free_subtree(self) {
+        // Explicit stack: a never-rebalanced subtree can be O(n) deep.
+        // SAFETY: teardown-only guard; exclusive ownership per the contract.
+        let guard = unsafe { nbbst_reclaim::unprotected() };
+        let mut stack = vec![self.into_data()];
+        while let Some(word) = stack.pop() {
+            // SAFETY: every word on the stack is an owned, not-yet-freed
+            // node of the subtree.
+            let ptr: NodePtr<'_, K, V> = unsafe { Shared::from_data(word) };
+            if ptr.is_leaf() {
+                // SAFETY: allocated by `Box` in `leaf_ptr`'s caller.
+                unsafe { drop(Box::from_raw(ptr.as_raw() as *mut Leaf<K, V>)) };
+            } else {
+                // SAFETY: as above, for `internal_ptr`.
+                let node = unsafe { Box::from_raw(ptr.as_raw() as *mut Internal<K, V>) };
+                // Relaxed: exclusive access.
+                stack.push(node.left.load(Ordering::Relaxed, &guard).into_data());
+                stack.push(node.right.load(Ordering::Relaxed, &guard).into_data());
+            }
+        }
+    }
+}
+
+/// A routing node of the EFRB tree (the paper's `Internal` type; Figure 7
+/// lines 5–9).
+pub struct Internal<K, V> {
+    /// Immutable routing key (real or sentinel).
+    pub(crate) key: SentinelKey<K>,
+    /// The update field: `state` in the 2 tag bits, Info pointer above
+    /// (Figure 7 lines 1–4: "stored in one CAS word").
+    pub(crate) update: Atomic<Info<K, V>>,
+    /// Left child word; never null once published.
+    pub(crate) left: Atomic<Node<K, V>>,
+    /// Right child word; never null once published.
+    pub(crate) right: Atomic<Node<K, V>>,
+}
+
+// SAFETY: internal nodes are immutable except through their atomic fields;
+// sharing them across threads is exactly the algorithm's design, provided
+// keys and values can be shared.
+unsafe impl<K: Send + Sync, V: Send + Sync> Send for Internal<K, V> {}
+// SAFETY: as for `Send` above.
+unsafe impl<K: Send + Sync, V: Send + Sync> Sync for Internal<K, V> {}
+
+impl<K, V> Internal<K, V> {
+    /// An internal node over two child words (already-allocated nodes;
+    /// ownership transfers to the tree once this node is published).
+    pub(crate) fn new(
         key: SentinelKey<K>,
-        left: *const Node<K, V>,
-        right: *const Node<K, V>,
-    ) -> Node<K, V> {
-        let node = Node {
+        left: NodePtr<'_, K, V>,
+        right: NodePtr<'_, K, V>,
+    ) -> Internal<K, V> {
+        let node = Internal {
             key,
-            value: None,
-            is_leaf: false,
             update: Atomic::null(),
             left: Atomic::null(),
             right: Atomic::null(),
         };
-        // SAFETY: plain initialization stores before publication.
-        unsafe {
-            node.left
-                .store(Shared::from_data(left as usize), Ordering::Relaxed);
-            node.right
-                .store(Shared::from_data(right as usize), Ordering::Relaxed);
-        }
+        node.left.store(left, Ordering::Relaxed);
+        node.right.store(right, Ordering::Relaxed);
         node
     }
 
-    /// Loads this internal node's update word.
+    /// Moves the node to the heap; returns its (unpublished) child word.
+    pub(crate) fn into_ptr<'g>(self) -> NodePtr<'g, K, V> {
+        internal_ptr(Box::into_raw(Box::new(self)))
+    }
+
+    /// Loads this node's update word.
     ///
     /// `Acquire`: a non-Clean word's Info record is dereferenced by helpers,
     /// so this load must synchronize with the `Release` flag CAS that
     /// published the record.
     pub(crate) fn load_update<'g>(&self, guard: &'g Guard) -> UpdateRef<'g, K, V> {
-        debug_assert!(!self.is_leaf, "leaves have no update field");
         self.update.load(Ordering::Acquire, guard)
     }
 
-    /// Loads a child pointer. Internal nodes' children are never null.
+    /// Loads a child word. Never null.
     ///
     /// `Acquire`: the child is dereferenced by every traversal, so this load
     /// must synchronize with the `Release` ichild/dchild CAS that spliced
     /// the node in (which is what makes its initialization visible).
-    pub(crate) fn load_child<'g>(&self, left: bool, guard: &'g Guard) -> Shared<'g, Node<K, V>> {
-        debug_assert!(!self.is_leaf, "leaves have no children");
+    pub(crate) fn load_child<'g>(&self, left: bool, guard: &'g Guard) -> NodePtr<'g, K, V> {
         if left {
             self.left.load(Ordering::Acquire, guard)
         } else {
@@ -110,11 +217,226 @@ impl<K, V> Node<K, V> {
     }
 }
 
-impl<K: fmt::Debug, V> fmt::Debug for Node<K, V> {
+impl<K: fmt::Debug, V> fmt::Debug for Internal<K, V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct(if self.is_leaf { "Leaf" } else { "Internal" })
+        f.debug_struct("Internal")
             .field("key", &self.key)
             .finish_non_exhaustive()
+    }
+}
+
+/// Which sentinel a sentinel leaf holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Inf {
+    One,
+    Two,
+}
+
+/// An immutable leaf: up to [`LEAF_CAPACITY`] real entries sorted by key,
+/// or exactly one sentinel (`∞1` or `∞2`, Figure 6). Sentinels never share
+/// a leaf with real keys: an insert into a sentinel leaf always splits it,
+/// which is the paper's Figure 6 step at every capacity.
+pub struct Leaf<K, V> {
+    /// Length of the initialized prefix of `keys` and `values`.
+    filled: usize,
+    /// `Some` for the two sentinel leaves, which hold no real entries.
+    sentinel: Option<Inf>,
+    keys: [MaybeUninit<K>; LEAF_CAPACITY],
+    values: [MaybeUninit<V>; LEAF_CAPACITY],
+}
+
+// SAFETY: leaves are never mutated after publication; sharing them is
+// sound whenever keys and values can be shared.
+unsafe impl<K: Send + Sync, V: Send + Sync> Send for Leaf<K, V> {}
+// SAFETY: as for `Send` above.
+unsafe impl<K: Send + Sync, V: Send + Sync> Sync for Leaf<K, V> {}
+
+impl<K, V> Leaf<K, V> {
+    fn empty(sentinel: Option<Inf>) -> Leaf<K, V> {
+        Leaf {
+            filled: 0,
+            sentinel,
+            keys: [const { MaybeUninit::uninit() }; LEAF_CAPACITY],
+            values: [const { MaybeUninit::uninit() }; LEAF_CAPACITY],
+        }
+    }
+
+    /// The sentinel leaf holding `key` (`∞1` or `∞2`).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a real key.
+    pub(crate) fn sentinel(key: &SentinelKey<K>) -> Leaf<K, V> {
+        Leaf::empty(Some(match key {
+            SentinelKey::Inf1 => Inf::One,
+            SentinelKey::Inf2 => Inf::Two,
+            SentinelKey::Key(_) => panic!("a sentinel leaf needs a sentinel key"),
+        }))
+    }
+
+    /// A leaf holding `entries`, which must be sorted by strictly
+    /// increasing key, at most [`LEAF_CAPACITY`] of them.
+    pub(crate) fn with_entries(entries: impl IntoIterator<Item = (K, V)>) -> Leaf<K, V> {
+        let mut leaf = Leaf::empty(None);
+        for (k, v) in entries {
+            assert!(leaf.filled < LEAF_CAPACITY, "leaf overflow");
+            leaf.keys[leaf.filled].write(k);
+            leaf.values[leaf.filled].write(v);
+            // Bumped only once both slots are written: if a `clone`
+            // upstream panics, `drop` sees only initialized slots.
+            leaf.filled += 1;
+        }
+        leaf
+    }
+
+    /// Moves the leaf to the heap; returns its (unpublished) child word.
+    pub(crate) fn into_ptr<'g>(self) -> NodePtr<'g, K, V> {
+        leaf_ptr(Box::into_raw(Box::new(self)))
+    }
+
+    /// The real keys, ascending (empty for a sentinel leaf).
+    #[inline]
+    pub(crate) fn keys(&self) -> &[K] {
+        // SAFETY: the first `len` slots are initialized and never change.
+        unsafe { std::slice::from_raw_parts(self.keys.as_ptr().cast::<K>(), self.filled) }
+    }
+
+    /// The values, index-aligned with [`Leaf::keys`].
+    #[inline]
+    pub(crate) fn values(&self) -> &[V] {
+        // SAFETY: as in `keys`.
+        unsafe { std::slice::from_raw_parts(self.values.as_ptr().cast::<V>(), self.filled) }
+    }
+
+    /// The real entries in key order.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (&K, &V)> {
+        self.keys().iter().zip(self.values())
+    }
+
+    /// The sentinel key of a sentinel leaf.
+    pub(crate) fn sentinel_key(&self) -> Option<SentinelKey<K>> {
+        self.sentinel.map(|s| match s {
+            Inf::One => SentinelKey::Inf1,
+            Inf::Two => SentinelKey::Inf2,
+        })
+    }
+
+    /// Entries held, the sentinel included.
+    pub(crate) fn len(&self) -> usize {
+        self.filled + usize::from(self.sentinel.is_some())
+    }
+}
+
+impl<K: Ord, V> Leaf<K, V> {
+    /// The value stored under `key`, if this leaf holds it.
+    #[inline]
+    pub(crate) fn get(&self, key: &K) -> Option<&V> {
+        let i = self.keys().binary_search(key).ok()?;
+        Some(&self.values()[i])
+    }
+
+    /// Whether this leaf sorts below `routing` (it belongs in a left
+    /// subtree of a node keyed `routing`). Leaves are never empty, so one
+    /// entry decides.
+    fn goes_left_of(&self, routing: &SentinelKey<K>) -> bool {
+        match (self.keys().first(), self.sentinel_key()) {
+            (Some(k), _) => real_vs_node(k, routing) == CmpOrdering::Less,
+            (None, Some(s)) => s < *routing,
+            (None, None) => unreachable!("leaves are never empty"),
+        }
+    }
+}
+
+/// An update applied to a leaf by [`Leaf::replacement`].
+pub(crate) enum Edit<'a, K, V> {
+    /// Add an absent key.
+    Insert(&'a K, &'a V),
+    /// Drop a present key from a leaf holding at least two entries.
+    Remove(&'a K),
+}
+
+impl<K: Ord + Clone, V: Clone> Leaf<K, V> {
+    /// Builds, unpublished, the node that replaces this leaf for `edit` —
+    /// the `new` subtree of an IInfo record. It is a copy with one entry
+    /// more or one fewer, or, when an insert finds the leaf full (a
+    /// sentinel leaf always is), an internal node over two half leaves
+    /// keyed by the right half's first key: Figure 1, generalised. At
+    /// capacity 1 that is exactly Figure 1.
+    ///
+    /// The one builder behind both `NbBst`'s updates and the stepped
+    /// drivers in [`crate::raw`].
+    pub(crate) fn replacement<'g>(
+        &self,
+        edit: Edit<'_, K, V>,
+        capacity: usize,
+    ) -> NodePtr<'g, K, V> {
+        let cloned = |(k, v): (&K, &V)| (k.clone(), v.clone());
+        let (key, value) = match edit {
+            Edit::Remove(key) => {
+                debug_assert!(
+                    self.filled >= 2,
+                    "a one-entry leaf leaves by the delete circuit"
+                );
+                let kept = self.entries().filter(|(k, _)| *k != key).map(cloned);
+                return Leaf::with_entries(kept).into_ptr();
+            }
+            Edit::Insert(key, value) => (key, value),
+        };
+        if let Some(sentinel) = self.sentinel_key() {
+            // `[key]` and a fresh copy of the sentinel leaf under a node
+            // keyed by the sentinel (Figure 6(a) -> (b)).
+            let left = Leaf::with_entries([cloned((key, value))]).into_ptr();
+            let right = Leaf::sentinel(&sentinel).into_ptr();
+            return Internal::new(sentinel, left, right).into_ptr();
+        }
+        let at = self.keys().partition_point(|k| k < key);
+        let mut merged = self
+            .entries()
+            .take(at)
+            .chain(std::iter::once((key, value)))
+            .chain(self.entries().skip(at))
+            .map(cloned);
+        if self.filled < capacity {
+            return Leaf::with_entries(merged).into_ptr();
+        }
+        let total = self.filled + 1;
+        let left = Leaf::with_entries(merged.by_ref().take(total / 2));
+        let right = Leaf::with_entries(merged);
+        let routing = SentinelKey::Key(right.keys()[0].clone());
+        Internal::new(routing, left.into_ptr(), right.into_ptr()).into_ptr()
+    }
+}
+
+impl<K, V> Drop for Leaf<K, V> {
+    fn drop(&mut self) {
+        for i in 0..self.filled {
+            // SAFETY: the first `len` slots are initialized and dropped
+            // exactly once, here.
+            unsafe {
+                self.keys[i].assume_init_drop();
+                self.values[i].assume_init_drop();
+            }
+        }
+    }
+}
+
+impl<K: fmt::Debug, V> fmt::Debug for Leaf<K, V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Leaf")
+            .field("keys", &self.keys())
+            .field("sentinel", &self.sentinel)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<K: Ord, V> NodeRef<'_, K, V> {
+    /// Whether this node sorts below `routing` — the side `CAS-Child`
+    /// (Figure 9 lines 113–118) picks for it under a node keyed `routing`.
+    pub(crate) fn goes_left_of(&self, routing: &SentinelKey<K>) -> bool {
+        match self {
+            NodeRef::Internal(n) => n.key < *routing,
+            NodeRef::Leaf(l) => l.goes_left_of(routing),
+        }
     }
 }
 
@@ -147,6 +469,7 @@ pub enum Info<K, V> {
 // SAFETY: Info records hold raw pointers into the tree; they are shared
 // between threads by design, protected by the epoch collector.
 unsafe impl<K: Send + Sync, V: Send + Sync> Send for Info<K, V> {}
+// SAFETY: as for `Send` above.
 unsafe impl<K: Send + Sync, V: Send + Sync> Sync for Info<K, V> {}
 
 impl<K, V> Info<K, V> {
@@ -185,28 +508,45 @@ impl<K, V> fmt::Debug for Info<K, V> {
     }
 }
 
-/// What an insertion's helpers need (Figure 7 lines 14–16): the parent to
-/// unflag, the leaf to replace, and the replacement subtree.
+/// What a leaf replacement's helpers need (Figure 7 lines 14–16): the
+/// parent to unflag, the leaf to replace, and its replacement. Every
+/// Insert, and every Delete that leaves its leaf non-empty, runs this
+/// circuit.
 pub struct IInfo<K, V> {
     /// The flagged parent whose child pointer changes.
-    pub(crate) p: *const Node<K, V>,
+    pub(crate) p: *const Internal<K, V>,
     /// The leaf being replaced.
-    pub(crate) l: *const Node<K, V>,
-    /// The new three-node subtree's root.
-    pub(crate) new_internal: *const Node<K, V>,
+    pub(crate) l: *const Leaf<K, V>,
+    /// Child word of the replacement: a leaf copy, or a split subtree
+    /// (the paper's `newInternal`).
+    pub(crate) new: usize,
+}
+
+impl<K, V> IInfo<K, V> {
+    /// The replaced leaf's child word.
+    pub(crate) fn leaf_word<'g>(&self) -> NodePtr<'g, K, V> {
+        leaf_ptr(self.l)
+    }
+
+    /// The replacement's child word.
+    pub(crate) fn new_word<'g>(&self) -> NodePtr<'g, K, V> {
+        // SAFETY: `new` was produced by `into_data` of a child word.
+        unsafe { Shared::from_data(self.new) }
+    }
 }
 
 /// What a deletion's helpers need (Figure 7 lines 17–19): the grandparent
 /// (flagged), parent (to mark), leaf (to delete), and the parent's update
 /// word as seen by the deleter's `Search` (`pupdate`), used as the expected
-/// value of the mark CAS.
+/// value of the mark CAS. Only a Delete that would empty its leaf runs
+/// this circuit.
 pub struct DInfo<K, V> {
     /// The flagged grandparent whose child pointer changes.
-    pub(crate) gp: *const Node<K, V>,
+    pub(crate) gp: *const Internal<K, V>,
     /// The parent, to be marked and spliced out.
-    pub(crate) p: *const Node<K, V>,
-    /// The leaf being deleted.
-    pub(crate) l: *const Node<K, V>,
+    pub(crate) p: *const Internal<K, V>,
+    /// The one-entry leaf being deleted.
+    pub(crate) l: *const Leaf<K, V>,
     /// Copy of `p`'s update word (pointer bits + state tag) observed by the
     /// deleter's `Search`; the paper's `pupdate` field.
     pub(crate) pupdate: usize,
@@ -216,12 +556,19 @@ impl<K, V> DInfo<K, V> {
     /// Reconstructs the stored `pupdate` word as a `Shared` usable as the
     /// expected value of the mark CAS.
     ///
-    /// Sound to *compare* under any guard; only dereferenced (via `Help`)
-    /// by code that re-read the live word.
+    /// Only ever compared and, after a failed mark, helped through the
+    /// live word the CAS returned. Nothing keeps the Info record it names
+    /// alive, so a freed and reused address can make the comparison succeed
+    /// wrongly: the open Info-record ABA (DESIGN.md §2).
     pub(crate) fn pupdate_word<'g>(&self, _guard: &'g Guard) -> UpdateRef<'g, K, V> {
         // SAFETY: the word was produced by `Shared::into_data` of an update
         // word; we use it as a CAS comparand.
         unsafe { Shared::from_data(self.pupdate) }
+    }
+
+    /// The deleted leaf's child word.
+    pub(crate) fn leaf_word<'g>(&self) -> NodePtr<'g, K, V> {
+        leaf_ptr(self.l)
     }
 }
 
@@ -229,6 +576,28 @@ impl<K, V> DInfo<K, V> {
 mod tests {
     use super::*;
     use nbbst_reclaim::{Collector, Owned};
+
+    fn leaf(keys: &[u64]) -> Leaf<u64, u64> {
+        Leaf::with_entries(keys.iter().map(|&k| (k, k * 10)))
+    }
+
+    /// Keys of an unpublished replacement, as `(routing, left, right)` for
+    /// a split or `(None, keys, [])` for a copy; frees it.
+    fn shape(ptr: NodePtr<'_, u64, u64>) -> (Option<SentinelKey<u64>>, Vec<u64>, Vec<u64>) {
+        let guard = unsafe { nbbst_reclaim::unprotected() };
+        let out = match unsafe { ptr.node() } {
+            NodeRef::Leaf(l) => (None, l.keys().to_vec(), vec![]),
+            NodeRef::Internal(n) => {
+                let side = |left| match unsafe { n.load_child(left, &guard).node() } {
+                    NodeRef::Leaf(l) => l.keys().to_vec(),
+                    NodeRef::Internal(_) => panic!("split children are leaves"),
+                };
+                (Some(n.key), side(true), side(false))
+            }
+        };
+        unsafe { ptr.free_subtree() };
+        out
+    }
 
     #[test]
     fn info_alignment_leaves_room_for_state_tags() {
@@ -239,45 +608,93 @@ mod tests {
     }
 
     #[test]
-    fn leaf_constructor_sets_discriminant() {
-        let n: Node<u64, u64> = Node::leaf(SentinelKey::Key(5), Some(50));
-        assert!(n.is_leaf);
-        assert_eq!(n.key, SentinelKey::Key(5));
-        assert_eq!(n.value, Some(50));
+    fn child_words_tell_leaves_from_internal_nodes() {
+        assert!(std::mem::align_of::<Leaf<u8, u8>>() >= 2);
+        assert!(std::mem::align_of::<Internal<u8, u8>>() >= 2);
+        let l = leaf(&[5]).into_ptr();
+        let r = Leaf::<u64, u64>::sentinel(&SentinelKey::Inf1).into_ptr();
+        let word = Internal::new(SentinelKey::Inf1, l, r).into_ptr();
+        assert!(!word.is_leaf());
+        assert!(l.is_leaf());
+        assert_eq!(leaf_ptr::<u64, u64>(l.as_raw().cast()), l);
+        match unsafe { r.node() } {
+            NodeRef::Leaf(s) => {
+                assert_eq!(s.sentinel_key(), Some(SentinelKey::Inf1));
+                assert_eq!(s.len(), 1);
+            }
+            NodeRef::Internal(_) => panic!("tagged word resolved to an internal node"),
+        }
+        unsafe { word.free_subtree() };
     }
 
     #[test]
-    fn internal_constructor_links_children() {
-        let collector = Collector::new();
-        let guard = collector.pin();
-        let l = Box::into_raw(Box::new(Node::<u64, u64>::leaf(SentinelKey::Inf1, None)));
-        let r = Box::into_raw(Box::new(Node::<u64, u64>::leaf(SentinelKey::Inf2, None)));
-        let n = Node::internal(SentinelKey::Inf2, l, r);
-        assert!(!n.is_leaf);
-        assert_eq!(n.load_child(true, &guard).as_raw(), l as *const _);
-        assert_eq!(n.load_child(false, &guard).as_raw(), r as *const _);
-        assert_eq!(n.load_update(&guard).state(), State::Clean);
-        assert!(n.load_update(&guard).is_null());
-        drop(guard);
-        unsafe {
-            drop(Box::from_raw(l));
-            drop(Box::from_raw(r));
-        }
+    fn leaf_lookup_and_drop() {
+        let l = leaf(&[1, 3, 5]);
+        assert_eq!(l.get(&3), Some(&30));
+        assert_eq!(l.get(&4), None);
+        assert_eq!(l.len(), 3);
+        assert_eq!(l.entries().count(), 3);
+    }
+
+    #[test]
+    fn replacement_copies_a_non_full_leaf() {
+        let l = leaf(&[1, 5]);
+        assert_eq!(
+            shape(l.replacement(Edit::Insert(&3, &30), 4)),
+            (None, vec![1, 3, 5], vec![])
+        );
+        assert_eq!(
+            shape(l.replacement(Edit::Remove(&1), 4)),
+            (None, vec![5], vec![])
+        );
+    }
+
+    #[test]
+    fn replacement_splits_a_full_leaf_keyed_by_the_right_half() {
+        let l = leaf(&[1, 2, 4, 5]);
+        assert_eq!(
+            shape(l.replacement(Edit::Insert(&3, &30), 4)),
+            (Some(SentinelKey::Key(3)), vec![1, 2], vec![3, 4, 5])
+        );
+    }
+
+    #[test]
+    fn capacity_one_replacement_is_figure_1() {
+        // The new internal node takes the larger key; the smaller key's
+        // leaf goes left (Figure 1), whichever side the new key is on.
+        assert_eq!(
+            shape(leaf(&[10]).replacement(Edit::Insert(&5, &50), 1)),
+            (Some(SentinelKey::Key(10)), vec![5], vec![10])
+        );
+        assert_eq!(
+            shape(leaf(&[10]).replacement(Edit::Insert(&20, &200), 1)),
+            (Some(SentinelKey::Key(20)), vec![10], vec![20])
+        );
+    }
+
+    #[test]
+    fn sentinel_leaves_always_split_under_their_sentinel() {
+        let s: Leaf<u64, u64> = Leaf::sentinel(&SentinelKey::Inf1);
+        assert_eq!(
+            shape(s.replacement(Edit::Insert(&7, &70), LEAF_CAPACITY)),
+            (Some(SentinelKey::Inf1), vec![7], vec![])
+        );
     }
 
     #[test]
     fn update_word_state_roundtrips_through_tags() {
         let collector = Collector::new();
         let guard = collector.pin();
-        let n: Node<u64, u64> =
-            Node::internal(SentinelKey::Inf2, std::ptr::null(), std::ptr::null());
+        let n: Internal<u64, u64> =
+            Internal::new(SentinelKey::Inf2, NodePtr::null(), NodePtr::null());
         let clean = n.load_update(&guard);
         assert_eq!(clean.state(), State::Clean);
+        assert!(clean.is_null());
 
         let info = Owned::new(Info::<u64, u64>::Insert(IInfo {
             p: std::ptr::null(),
             l: std::ptr::null(),
-            new_internal: std::ptr::null(),
+            new: 0,
         }))
         .with_tag(State::IFlag.tag());
         n.update

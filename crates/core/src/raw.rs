@@ -16,6 +16,12 @@
 //! * **Section 6's adversarial schedule (T7)** — a `Find` forever chased
 //!   down a growing-and-shrinking path.
 //!
+//! The paper's scenarios need the paper's tree (one key per leaf; see
+//! `NbBst::one_key_leaves`). On a tree with multi-entry leaves a Delete
+//! whose leaf keeps other entries replaces the leaf through the insertion
+//! circuit, and [`RawDelete`] steps that circuit instead (its `mark` step
+//! is then empty).
+//!
 //! Each driver holds its own epoch [`Guard`] for its whole lifetime, so
 //! every pointer it caches stays valid however long the test pauses it —
 //! this mimics a stalled thread, which in EBR likewise blocks reclamation.
@@ -44,10 +50,12 @@
 //! tree.check_invariants().unwrap();
 //! ```
 
-use crate::node::{DInfo, IInfo, Info, Node, UpdateRef, UpdateWordExt};
+use crate::node::{
+    internal_ptr, DInfo, Edit, IInfo, Info, Internal, Leaf, NodePtr, NodePtrExt, NodeRef,
+    UpdateRef, UpdateWordExt,
+};
 use crate::state::State;
 use crate::tree::NbBst;
-use nbbst_dictionary::SentinelKey;
 use nbbst_reclaim::{Guard, Owned, Shared};
 use std::fmt;
 use std::sync::atomic::Ordering;
@@ -78,7 +86,7 @@ pub enum DeleteSearch {
     NotFound,
     /// Grandparent or parent busy (the blocking state is given).
     Busy(State),
-    /// Ready to attempt the dflag CAS.
+    /// Ready to attempt the flag CAS.
     Ready,
 }
 
@@ -93,11 +101,133 @@ impl DeleteSearch {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MarkOutcome {
     /// The mark CAS succeeded (or a helper of this same operation already
-    /// marked the parent): the deletion can no longer fail.
+    /// marked the parent, or the delete replaces its leaf and has no mark
+    /// step): the deletion can no longer fail.
     Marked,
     /// The mark CAS failed; the paper's `HelpDelete` would help the blocker
     /// and perform a backtrack CAS.
     Failed,
+}
+
+/// The stepped leaf-replacement circuit (`iflag → ichild → iunflag`) of
+/// one attempt, shared by [`RawInsert`] and the copy-deletes of
+/// [`RawDelete`]: the parent and leaf its search found, and, once flagged,
+/// its IInfo record.
+struct Circuit<K, V> {
+    p: *const Internal<K, V>,
+    leaf: *const Leaf<K, V>,
+    pupdate_bits: usize,
+    /// Published Info record (null until the flag CAS succeeds).
+    op: *const Info<K, V>,
+}
+
+impl<K, V> Circuit<K, V> {
+    fn new() -> Circuit<K, V> {
+        Circuit {
+            p: std::ptr::null(),
+            leaf: std::ptr::null(),
+            pupdate_bits: 0,
+            op: std::ptr::null(),
+        }
+    }
+
+    /// The parent's update word as the search read it.
+    fn pupdate<'g>(&self) -> UpdateRef<'g, K, V> {
+        // SAFETY: read by the owning driver's search under its still-held
+        // guard, so any Info record it tags is protected.
+        unsafe { Shared::from_data(self.pupdate_bits) }
+    }
+
+    /// The published Info record's word.
+    fn op_word<'g>(&self) -> UpdateRef<'g, K, V> {
+        // SAFETY: published by this driver's flag CAS; the record and the
+        // nodes it names are protected by the driver's guard.
+        unsafe { Shared::from_data(self.op as usize) }
+    }
+}
+
+impl<K: Ord + Clone, V: Clone> Circuit<K, V> {
+    /// Records what `search` found for this attempt.
+    fn searched(&mut self, p: &Internal<K, V>, leaf: &Leaf<K, V>, pupdate: UpdateRef<'_, K, V>) {
+        self.p = p;
+        self.leaf = leaf;
+        self.pupdate_bits = pupdate.into_data();
+    }
+
+    /// The **iflag** CAS (line 56), publishing an IInfo whose replacement
+    /// comes from the same builder as the real operations.
+    fn flag(&mut self, tree: &NbBst<K, V>, guard: &Guard, edit: Edit<'_, K, V>) -> bool {
+        // SAFETY: the leaf and parent are guard-protected since our search
+        // read them.
+        let (leaf, p_ref) = unsafe { (&*self.leaf, &*self.p) };
+        let new = leaf.replacement(edit, tree.leaf_capacity());
+        let op = Owned::new(Info::Insert(IInfo {
+            p: self.p,
+            l: self.leaf,
+            new: new.into_data(),
+        }))
+        .with_tag(State::IFlag.tag());
+        tree.bump_stat(|s| &s.iflag_attempts);
+        // Release publishes the fresh IInfo record; the stepped driver does
+        // not help on failure, so the failed value needs no Acquire.
+        match p_ref.update.compare_exchange(
+            self.pupdate(),
+            op,
+            Ordering::Release,
+            Ordering::Relaxed,
+            guard,
+        ) {
+            Ok(word) => {
+                tree.bump_stat(|s| &s.iflag_success);
+                // SAFETY: our iflag displaced `pupdate` from `p`.
+                unsafe { tree.retire_displaced(self.pupdate(), guard) };
+                self.op = word.as_raw();
+                true
+            }
+            Err(e) => {
+                // SAFETY: the replacement was never published.
+                unsafe { new.free_subtree() };
+                drop(e.new);
+                false
+            }
+        }
+    }
+
+    /// The **ichild** CAS (line 66 / 115 / 117).
+    fn execute_child(&self, tree: &NbBst<K, V>, guard: &Guard) -> bool {
+        // SAFETY: see `op_word`.
+        let info = unsafe { self.op_word().deref() }.as_insert();
+        // SAFETY: as in `NbBst::help_insert`: `p` cannot be unlinked while
+        // flagged by our record, which our guard has seen flagged.
+        let p = unsafe { &*info.p };
+        let l = info.leaf_word();
+        let won = tree.cas_child(p, l, info.new_word(), guard);
+        if won {
+            tree.bump_stat(|s| &s.ichild_success);
+            tree.bump_stat(|s| &s.nodes_retired);
+            // SAFETY: we unlinked `l`; unique retirement.
+            unsafe { l.retire(guard) };
+        }
+        won
+    }
+
+    /// The **iunflag** CAS (line 67).
+    fn unflag(&self, tree: &NbBst<K, V>, guard: &Guard) -> bool {
+        let op_word = self.op_word();
+        // SAFETY: see `op_word`.
+        let p = unsafe { &*op_word.deref().as_insert().p };
+        let expected = op_word.with_tag(State::IFlag.tag());
+        let clean = op_word.with_tag(State::Clean.tag());
+        // Release: observers of Clean must also see the ichild splice.
+        let won = p
+            .update
+            .compare_exchange(expected, clean, Ordering::Release, Ordering::Relaxed, guard)
+            .is_ok();
+        if won {
+            tree.bump_stat(|s| &s.iunflag_success);
+        }
+        won
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,16 +247,10 @@ enum InsertPhase {
 pub struct RawInsert<'t, K, V> {
     tree: &'t NbBst<K, V>,
     key: K,
+    value: V,
     guard: Guard,
     phase: InsertPhase,
-    /// The `new` leaf (line 44), allocated once. Null after hand-off.
-    new_leaf: *mut Node<K, V>,
-    /// Search results (raw words; revalidated by the CAS steps).
-    p: *const Node<K, V>,
-    pupdate_bits: usize,
-    l: *const Node<K, V>,
-    /// Published IInfo record (null until `flag` succeeds).
-    op: *const Info<K, V>,
+    circuit: Circuit<K, V>,
 }
 
 impl<'t, K, V> RawInsert<'t, K, V>
@@ -134,23 +258,16 @@ where
     K: Ord + Clone,
     V: Clone,
 {
-    /// Prepares an insert of `(key, value)` (allocates the `new` leaf).
+    /// Prepares an insert of `(key, value)`.
     pub fn new(tree: &'t NbBst<K, V>, key: K, value: V) -> RawInsert<'t, K, V> {
-        let new_leaf = Box::into_raw(Box::new(Node::leaf(
-            SentinelKey::Key(key.clone()),
-            Some(value),
-        )));
         let guard = tree.pin();
         RawInsert {
             tree,
             key,
+            value,
             guard,
             phase: InsertPhase::Created,
-            new_leaf,
-            p: std::ptr::null(),
-            pupdate_bits: 0,
-            l: std::ptr::null(),
-            op: std::ptr::null(),
+            circuit: Circuit::new(),
         }
     }
 
@@ -165,14 +282,10 @@ where
             "search() after flag(); the paper restarts attempts from Search"
         );
         let s = self.tree.search(&self.key, &self.guard);
-        // SAFETY: leaf under our long-lived guard.
-        let l_ref = unsafe { s.l.deref() };
-        if l_ref.key.as_key() == Some(&self.key) {
+        if s.leaf.get(&self.key).is_some() {
             return InsertSearch::Duplicate;
         }
-        self.p = s.p.as_raw();
-        self.l = s.l.as_raw();
-        self.pupdate_bits = s.pupdate.into_data();
+        self.circuit.searched(s.p, s.leaf, s.pupdate);
         self.phase = InsertPhase::Searched;
         if s.pupdate.state() != State::Clean {
             InsertSearch::Busy(s.pupdate.state())
@@ -194,9 +307,7 @@ where
             InsertPhase::Searched,
             "help_blocker() requires search()"
         );
-        // SAFETY: `pupdate_bits` was read by our search under the
-        // still-held guard, so any Info record it tags is protected.
-        let word: UpdateRef<'_, K, V> = unsafe { Shared::from_data(self.pupdate_bits) };
+        let word = self.circuit.pupdate();
         if word.state() != State::Clean {
             self.tree.help(word, &self.guard);
         }
@@ -217,64 +328,17 @@ where
             InsertPhase::Searched,
             "flag() requires search()"
         );
-        // Build the Figure 1 replacement subtree (lines 52–54).
-        // SAFETY: `l` is guard-protected since our search read it.
-        let l_ref = unsafe { &*self.l };
-        let new_sibling =
-            Box::into_raw(Box::new(Node::leaf(l_ref.key.clone(), l_ref.value.clone())));
-        let new_key = SentinelKey::Key(self.key.clone());
-        let (routing, left, right) = if new_key < l_ref.key {
-            (
-                l_ref.key.clone(),
-                self.new_leaf as *const _,
-                new_sibling as *const _,
-            )
-        } else {
-            (new_key, new_sibling as *const _, self.new_leaf as *const _)
-        };
-        let new_internal = Box::into_raw(Box::new(Node::internal(routing, left, right)));
-        let op = Owned::new(Info::Insert(IInfo {
-            p: self.p,
-            l: self.l,
-            new_internal,
-        }))
-        .with_tag(State::IFlag.tag());
-
-        self.tree.bump_stat(|s| &s.iflag_attempts);
-        // SAFETY: `p` is guard-protected since our search read it.
-        let p_ref = unsafe { &*self.p };
-        let expected: UpdateRef<'_, K, V> = unsafe { Shared::from_data(self.pupdate_bits) };
-        // Release publishes the fresh IInfo record; the stepped driver does
-        // not help on failure, so the failed value needs no Acquire.
-        match p_ref.update.compare_exchange(
-            expected,
-            op,
-            Ordering::Release,
-            Ordering::Relaxed,
-            &self.guard,
-        ) {
-            Ok(word) => {
-                self.tree.bump_stat(|s| &s.iflag_success);
-                // Once flagged, the insertion is guaranteed to complete
-                // (Section 3), so it counts as a successful Insert now.
-                self.tree.bump_stat(|s| &s.inserts);
-                self.tree.bump_stat(|s| &s.inserts_true);
-                self.op = word.as_raw();
-                self.new_leaf = std::ptr::null_mut(); // owned by the tree now
-                self.phase = InsertPhase::Flagged;
-                true
-            }
-            Err(e) => {
-                // SAFETY: the speculative nodes were never published.
-                unsafe {
-                    drop(Box::from_raw(new_sibling));
-                    drop(Box::from_raw(new_internal));
-                }
-                drop(e.new);
-                self.phase = InsertPhase::Created;
-                false
-            }
+        let edit = Edit::Insert(&self.key, &self.value);
+        if !self.circuit.flag(self.tree, &self.guard, edit) {
+            self.phase = InsertPhase::Created;
+            return false;
         }
+        // Once flagged, the insertion is guaranteed to complete
+        // (Section 3), so it counts as a successful Insert now.
+        self.tree.bump_stat(|s| &s.inserts);
+        self.tree.bump_stat(|s| &s.inserts_true);
+        self.phase = InsertPhase::Flagged;
+        true
     }
 
     /// Attempts the **ichild** CAS (line 66 / 115 / 117). Returns whether
@@ -290,23 +354,8 @@ where
             InsertPhase::Flagged,
             "execute_child() requires flag()"
         );
-        let op_word: UpdateRef<'_, K, V> = unsafe { Shared::from_data(self.op as usize) };
-        // SAFETY: published Info record, protected by our guard.
-        let info = unsafe { op_word.deref() }.as_insert();
-        let p = unsafe { &*info.p };
-        let l: Shared<'_, Node<K, V>> = unsafe { Shared::from_data(info.l as usize) };
-        // SAFETY: the nodes named by a published IInfo stay guard-protected
-        // until its unflag winner retires them.
-        let new: Shared<'_, Node<K, V>> = unsafe { Shared::from_data(info.new_internal as usize) };
-        let won = self.tree.cas_child(p, l, new, &self.guard);
-        if won {
-            self.tree.bump_stat(|s| &s.ichild_success);
-            self.tree.bump_stat(|s| &s.nodes_retired);
-            // SAFETY: we unlinked `l`; unique retirement.
-            unsafe { self.guard.defer_destroy(l) };
-        }
         self.phase = InsertPhase::ChildDone;
-        won
+        self.circuit.execute_child(self.tree, &self.guard)
     }
 
     /// Attempts the **iunflag** CAS (line 67). Returns whether this call
@@ -321,32 +370,8 @@ where
             InsertPhase::ChildDone,
             "unflag() requires execute_child()"
         );
-        // SAFETY: `op` was published by our flag CAS; the record and the
-        // nodes it names are guard-protected until unflag retires them.
-        let op_word: UpdateRef<'_, K, V> = unsafe { Shared::from_data(self.op as usize) };
-        let info = unsafe { op_word.deref() }.as_insert();
-        let p = unsafe { &*info.p };
-        let expected = op_word.with_tag(State::IFlag.tag());
-        let clean = op_word.with_tag(State::Clean.tag());
-        // Release: observers of Clean must also see the ichild splice.
-        let won = p
-            .update
-            .compare_exchange(
-                expected,
-                clean,
-                Ordering::Release,
-                Ordering::Relaxed,
-                &self.guard,
-            )
-            .is_ok();
-        if won {
-            self.tree.bump_stat(|s| &s.iunflag_success);
-            self.tree.bump_stat(|s| &s.infos_retired);
-            // SAFETY: unique unflag winner retires the record.
-            unsafe { self.guard.defer_destroy(op_word) };
-        }
         self.phase = InsertPhase::Done;
-        won
+        self.circuit.unflag(self.tree, &self.guard)
     }
 
     /// Finishes the insert the way the real code would (`HelpInsert`).
@@ -359,27 +384,14 @@ where
             matches!(self.phase, InsertPhase::Flagged | InsertPhase::ChildDone),
             "complete() requires a successful flag()"
         );
-        // SAFETY: `op` was published by our flag CAS and is guard-protected.
-        let op_word: UpdateRef<'_, K, V> = unsafe { Shared::from_data(self.op as usize) };
-        self.tree.help_insert(op_word, &self.guard);
+        self.tree.help_insert(self.circuit.op_word(), &self.guard);
         self.phase = InsertPhase::Done;
     }
 
     /// Simulates a crash: stop taking steps forever. If the operation was
     /// already flagged, the published Info record lets any other thread
-    /// finish it; if not, the speculative leaf is freed.
-    pub fn abandon(self) {
-        // Drop does the right thing for both cases.
-    }
-}
-
-impl<K, V> Drop for RawInsert<'_, K, V> {
-    fn drop(&mut self) {
-        if !self.new_leaf.is_null() {
-            // SAFETY: unpublished leaf, exclusively ours.
-            unsafe { drop(Box::from_raw(self.new_leaf)) };
-        }
-    }
+    /// finish it.
+    pub fn abandon(self) {}
 }
 
 impl<K: fmt::Debug, V> fmt::Debug for RawInsert<'_, K, V> {
@@ -407,17 +419,21 @@ enum DeletePhase {
 /// [`RawDelete::mark`] → [`RawDelete::execute_child`] →
 /// [`RawDelete::unflag`]; after a failed `mark`, [`RawDelete::backtrack`];
 /// [`RawDelete::abandon`] anywhere simulates a crash.
+///
+/// When the search finds the key in a leaf that keeps other entries, the
+/// attempt replaces that leaf instead: `flag` is an iflag, `mark` takes no
+/// step, and `execute_child`/`unflag` are the ichild and iunflag CASes.
 pub struct RawDelete<'t, K, V> {
     tree: &'t NbBst<K, V>,
     key: K,
     guard: Guard,
     phase: DeletePhase,
-    gp: *const Node<K, V>,
-    p: *const Node<K, V>,
-    l: *const Node<K, V>,
-    pupdate_bits: usize,
+    /// Whether this attempt replaces its leaf by a copy.
+    by_copy: bool,
+    gp: *const Internal<K, V>,
     gpupdate_bits: usize,
-    op: *const Info<K, V>,
+    /// Parent, leaf, `pupdate` and (once flagged) the Info record.
+    circuit: Circuit<K, V>,
 }
 
 impl<'t, K, V> RawDelete<'t, K, V>
@@ -433,13 +449,17 @@ where
             key,
             guard,
             phase: DeletePhase::Created,
+            by_copy: false,
             gp: std::ptr::null(),
-            p: std::ptr::null(),
-            l: std::ptr::null(),
-            pupdate_bits: 0,
             gpupdate_bits: 0,
-            op: std::ptr::null(),
+            circuit: Circuit::new(),
         }
+    }
+
+    fn gpupdate<'g>(&self) -> UpdateRef<'g, K, V> {
+        // SAFETY: read by our search under the still-held guard, so any
+        // Info record it tags is protected.
+        unsafe { Shared::from_data(self.gpupdate_bits) }
     }
 
     /// Runs the `Search` (lines 75–78).
@@ -449,18 +469,16 @@ where
             "search() after flag(); restart semantics match the paper"
         );
         let s = self.tree.search(&self.key, &self.guard);
-        // SAFETY: `s.l` is a leaf the search just read under our guard.
-        let l_ref = unsafe { s.l.deref() };
-        if l_ref.key.as_key() != Some(&self.key) {
+        if s.leaf.get(&self.key).is_none() {
             return DeleteSearch::NotFound;
         }
-        self.gp = s.gp.as_raw();
-        self.p = s.p.as_raw();
-        self.l = s.l.as_raw();
-        self.pupdate_bits = s.pupdate.into_data();
+        self.by_copy = s.leaf.len() > 1;
+        self.gp = s.gp.map_or(std::ptr::null(), |gp| gp as *const _);
         self.gpupdate_bits = s.gpupdate.into_data();
+        self.circuit.searched(s.p, s.leaf, s.pupdate);
         self.phase = DeletePhase::Searched;
-        if s.gpupdate.state() != State::Clean {
+        // A copy-delete flags only the parent.
+        if !self.by_copy && s.gpupdate.state() != State::Clean {
             DeleteSearch::Busy(s.gpupdate.state())
         } else if s.pupdate.state() != State::Clean {
             DeleteSearch::Busy(s.pupdate.state())
@@ -482,11 +500,9 @@ where
             DeletePhase::Searched,
             "help_blocker() requires search()"
         );
-        // SAFETY: both words were read by our search under the still-held
-        // guard, so any Info record they tag is protected.
-        let gpw: UpdateRef<'_, K, V> = unsafe { Shared::from_data(self.gpupdate_bits) };
-        let pw: UpdateRef<'_, K, V> = unsafe { Shared::from_data(self.pupdate_bits) };
-        if gpw.state() != State::Clean {
+        let gpw = self.gpupdate();
+        let pw = self.circuit.pupdate();
+        if !self.by_copy && gpw.state() != State::Clean {
             self.tree.help(gpw, &self.guard);
         } else if pw.state() != State::Clean {
             self.tree.help(pw, &self.guard);
@@ -494,7 +510,7 @@ where
         self.phase = DeletePhase::Created; // restart from Search
     }
 
-    /// Attempts the **dflag** CAS (line 81).
+    /// Attempts the **dflag** CAS (line 81), or the iflag of a copy-delete.
     ///
     /// # Panics
     ///
@@ -505,20 +521,35 @@ where
             DeletePhase::Searched,
             "flag() requires search()"
         );
+        if self.by_copy {
+            if !self
+                .circuit
+                .flag(self.tree, &self.guard, Edit::Remove(&self.key))
+            {
+                self.phase = DeletePhase::Created;
+                return false;
+            }
+            // Certain to complete once flagged, like an Insert.
+            self.tree.bump_stat(|s| &s.deletes);
+            self.tree.bump_stat(|s| &s.deletes_true);
+            self.tree.bump_stat(|s| &s.deletes_by_copy);
+            self.phase = DeletePhase::Flagged;
+            return true;
+        }
         let op = Owned::new(Info::Delete(DInfo {
             gp: self.gp,
-            p: self.p,
-            l: self.l,
-            pupdate: self.pupdate_bits,
+            p: self.circuit.p,
+            l: self.circuit.leaf,
+            pupdate: self.circuit.pupdate_bits,
         }))
         .with_tag(State::DFlag.tag());
         self.tree.bump_stat(|s| &s.dflag_attempts);
-        // SAFETY: guard-protected since search.
+        // SAFETY: guard-protected since search; a leaf holding a real key
+        // has a grandparent.
         let gp_ref = unsafe { &*self.gp };
-        let expected: UpdateRef<'_, K, V> = unsafe { Shared::from_data(self.gpupdate_bits) };
         // Release publishes the fresh DInfo record; no helping on failure.
         match gp_ref.update.compare_exchange(
-            expected,
+            self.gpupdate(),
             op,
             Ordering::Release,
             Ordering::Relaxed,
@@ -526,7 +557,9 @@ where
         ) {
             Ok(word) => {
                 self.tree.bump_stat(|s| &s.dflag_success);
-                self.op = word.as_raw();
+                // SAFETY: our dflag displaced `gpupdate` from `gp`.
+                unsafe { self.tree.retire_displaced(self.gpupdate(), &self.guard) };
+                self.circuit.op = word.as_raw();
                 self.phase = DeletePhase::Flagged;
                 true
             }
@@ -538,51 +571,55 @@ where
         }
     }
 
-    /// Attempts the **mark** CAS (line 91).
+    /// Attempts the **mark** CAS (line 91). A copy-delete has no mark step
+    /// and reports [`MarkOutcome::Marked`] without one.
     ///
     /// # Panics
     ///
     /// Panics unless [`RawDelete::flag`] succeeded.
     pub fn mark(&mut self) -> MarkOutcome {
         assert_eq!(self.phase, DeletePhase::Flagged, "mark() requires flag()");
+        if self.by_copy {
+            self.phase = DeletePhase::Marked;
+            return MarkOutcome::Marked;
+        }
+        let op_word = self.circuit.op_word();
         // SAFETY: `op` was published by our flag CAS; the record and the
         // nodes it names are guard-protected until it is retired.
-        let op_word: UpdateRef<'_, K, V> = unsafe { Shared::from_data(self.op as usize) };
         let info = unsafe { op_word.deref() }.as_delete();
+        // SAFETY: as above.
         let p = unsafe { &*info.p };
         let expected = info.pupdate_word(&self.guard);
         let mark_word = op_word.with_tag(State::Mark.tag());
         self.tree.bump_stat(|s| &s.mark_attempts);
         // Release publishes the Mark; the failed value is only compared
         // bit-for-bit against `mark_word`, never dereferenced, so Relaxed.
-        match p.update.compare_exchange(
+        let outcome = p.update.compare_exchange(
             expected,
             mark_word,
             Ordering::Release,
             Ordering::Relaxed,
             &self.guard,
-        ) {
+        );
+        match outcome {
             Ok(_) => {
                 self.tree.bump_stat(|s| &s.mark_success);
-                // Once marked, the deletion is guaranteed to complete
-                // (Section 3), so it counts as a successful Delete now.
-                self.tree.bump_stat(|s| &s.deletes);
-                self.tree.bump_stat(|s| &s.deletes_true);
-                self.phase = DeletePhase::Marked;
-                MarkOutcome::Marked
+                // SAFETY: our mark displaced `expected` from `p`.
+                unsafe { self.tree.retire_displaced(expected, &self.guard) };
             }
-            Err(e) if e.current == mark_word => {
-                self.tree.bump_stat(|s| &s.deletes);
-                self.tree.bump_stat(|s| &s.deletes_true);
-                self.phase = DeletePhase::Marked;
-                MarkOutcome::Marked
-            }
-            Err(_) => MarkOutcome::Failed,
+            Err(e) if e.current == mark_word => {}
+            Err(_) => return MarkOutcome::Failed,
         }
+        // Once marked, the deletion is guaranteed to complete (Section 3),
+        // so it counts as a successful Delete now.
+        self.tree.bump_stat(|s| &s.deletes);
+        self.tree.bump_stat(|s| &s.deletes_true);
+        self.phase = DeletePhase::Marked;
+        MarkOutcome::Marked
     }
 
-    /// Attempts the **dchild** CAS (line 105). Returns whether this call
-    /// performed it.
+    /// Attempts the **dchild** CAS (line 105), or a copy-delete's ichild.
+    /// Returns whether this call performed it.
     ///
     /// # Panics
     ///
@@ -593,40 +630,40 @@ where
             DeletePhase::Marked,
             "execute_child() requires mark()"
         );
-        // SAFETY: `op` was published by our flag CAS; the record, and every
-        // node it names (`p`, `gp`, `l`), stay guard-protected until the
-        // record is retired by its circuit's unflag winner.
-        let op_word: UpdateRef<'_, K, V> = unsafe { Shared::from_data(self.op as usize) };
-        let info = unsafe { op_word.deref() }.as_delete();
+        self.phase = DeletePhase::ChildDone;
+        if self.by_copy {
+            return self.circuit.execute_child(self.tree, &self.guard);
+        }
+        // SAFETY: `op` was published by our flag CAS under our guard, so
+        // the record, and every node it names (`p`, `gp`, `l`), are
+        // unlinked or displaced only after our guard pinned.
+        let info = unsafe { self.circuit.op_word().deref() }.as_delete();
         // SAFETY: as above.
-        let p = unsafe { &*info.p };
-        let gp = unsafe { &*info.gp };
+        let (p, gp) = unsafe { (&*info.p, &*info.gp) };
+        let l = info.leaf_word();
         let right = p.load_child(false, &self.guard);
-        let other = if right.as_raw() == info.l {
+        let other = if right == l {
             p.load_child(true, &self.guard)
         } else {
             right
         };
-        // SAFETY: same published-DInfo protection as above.
-        let p_shared: Shared<'_, Node<K, V>> = unsafe { Shared::from_data(info.p as usize) };
-        let l_shared: Shared<'_, Node<K, V>> = unsafe { Shared::from_data(info.l as usize) };
-        let won = self.tree.cas_child(gp, p_shared, other, &self.guard);
+        let p_word = internal_ptr(info.p);
+        let won = self.tree.cas_child(gp, p_word, other, &self.guard);
         if won {
             self.tree.bump_stat(|s| &s.dchild_success);
             self.tree.bump_stat(|s| &s.nodes_retired);
             self.tree.bump_stat(|s| &s.nodes_retired);
             // SAFETY: we unlinked `p` and `l`; unique retirement.
             unsafe {
-                self.guard.defer_destroy(p_shared);
-                self.guard.defer_destroy(l_shared);
+                p_word.retire(&self.guard);
+                l.retire(&self.guard);
             }
         }
-        self.phase = DeletePhase::ChildDone;
         won
     }
 
-    /// Attempts the **dunflag** CAS (line 106). Returns whether this call
-    /// performed it.
+    /// Attempts the **dunflag** CAS (line 106), or a copy-delete's
+    /// iunflag. Returns whether this call performed it.
     ///
     /// # Panics
     ///
@@ -637,31 +674,14 @@ where
             DeletePhase::ChildDone,
             "unflag() requires execute_child()"
         );
-        // SAFETY: `op` was published by our flag CAS; the record and the
-        // nodes it names are guard-protected until unflag retires them.
-        let op_word: UpdateRef<'_, K, V> = unsafe { Shared::from_data(self.op as usize) };
-        let info = unsafe { op_word.deref() }.as_delete();
-        let gp = unsafe { &*info.gp };
-        let dflag = op_word.with_tag(State::DFlag.tag());
-        let clean = op_word.with_tag(State::Clean.tag());
-        // Release: observers of Clean must also see the dchild splice.
-        let won = gp
-            .update
-            .compare_exchange(
-                dflag,
-                clean,
-                Ordering::Release,
-                Ordering::Relaxed,
-                &self.guard,
-            )
-            .is_ok();
+        self.phase = DeletePhase::Done;
+        if self.by_copy {
+            return self.circuit.unflag(self.tree, &self.guard);
+        }
+        let won = self.clear_dflag();
         if won {
             self.tree.bump_stat(|s| &s.dunflag_success);
-            self.tree.bump_stat(|s| &s.infos_retired);
-            // SAFETY: unique dunflag winner.
-            unsafe { self.guard.defer_destroy(op_word) };
         }
-        self.phase = DeletePhase::Done;
         won
     }
 
@@ -680,16 +700,28 @@ where
             DeletePhase::Flagged,
             "backtrack() requires a flagged, unmarked delete"
         );
+        assert!(!self.by_copy, "a copy-delete cannot fail once flagged");
+        let won = self.clear_dflag();
+        if won {
+            self.tree.bump_stat(|s| &s.backtrack_success);
+        }
+        self.circuit.op = std::ptr::null();
+        self.phase = DeletePhase::Created;
+        won
+    }
+
+    /// The DFlag → Clean CAS on the grandparent shared by dunflag and
+    /// backtrack.
+    fn clear_dflag(&self) -> bool {
+        let op_word = self.circuit.op_word();
         // SAFETY: `op` was published by our flag CAS; the record and the
-        // nodes it names are guard-protected until backtrack retires them.
-        let op_word: UpdateRef<'_, K, V> = unsafe { Shared::from_data(self.op as usize) };
-        let info = unsafe { op_word.deref() }.as_delete();
-        let gp = unsafe { &*info.gp };
+        // nodes it names are guard-protected.
+        let gp = unsafe { &*op_word.deref().as_delete().gp };
         let dflag = op_word.with_tag(State::DFlag.tag());
         let clean = op_word.with_tag(State::Clean.tag());
-        // Release pairs with helpers' Acquire loads observing Clean.
-        let won = gp
-            .update
+        // Release: observers of Clean must also see the dchild splice (for
+        // dunflag) and pair with helpers' Acquire loads (for backtrack).
+        gp.update
             .compare_exchange(
                 dflag,
                 clean,
@@ -697,21 +729,12 @@ where
                 Ordering::Relaxed,
                 &self.guard,
             )
-            .is_ok();
-        if won {
-            self.tree.bump_stat(|s| &s.backtrack_success);
-            self.tree.bump_stat(|s| &s.infos_retired);
-            // SAFETY: backtrack is this record's unique retirement (the
-            // mark CAS never succeeded, so no dunflag can).
-            unsafe { self.guard.defer_destroy(op_word) };
-        }
-        self.op = std::ptr::null();
-        self.phase = DeletePhase::Created;
-        won
+            .is_ok()
     }
 
-    /// Finishes via the real `HelpDelete`; returns whether the deletion
-    /// completed (`false` means it backtracked and must be retried).
+    /// Finishes via the real `HelpDelete` (or `HelpInsert` for a
+    /// copy-delete); returns whether the deletion completed (`false`
+    /// means it backtracked and must be retried).
     ///
     /// # Panics
     ///
@@ -724,9 +747,13 @@ where
             ),
             "complete() requires a successful flag()"
         );
-        // SAFETY: `op` was published by our flag CAS and is guard-protected.
-        let op_word: UpdateRef<'_, K, V> = unsafe { Shared::from_data(self.op as usize) };
+        let op_word = self.circuit.op_word();
         let was_unmarked = self.phase == DeletePhase::Flagged;
+        self.phase = DeletePhase::Done;
+        if self.by_copy {
+            self.tree.help_insert(op_word, &self.guard);
+            return true;
+        }
         let done = self.tree.help_delete(op_word, &self.guard);
         if done && was_unmarked {
             // `mark()` was never called by us, so the completion has not
@@ -734,7 +761,6 @@ where
             self.tree.bump_stat(|s| &s.deletes);
             self.tree.bump_stat(|s| &s.deletes_true);
         }
-        self.phase = DeletePhase::Done;
         done
     }
 
@@ -749,6 +775,7 @@ impl<K: fmt::Debug, V> fmt::Debug for RawDelete<'_, K, V> {
         f.debug_struct("RawDelete")
             .field("key", &self.key)
             .field("phase", &self.phase)
+            .field("by_copy", &self.by_copy)
             .finish()
     }
 }
@@ -760,7 +787,8 @@ pub struct RawFind<'t, K, V> {
     tree: &'t NbBst<K, V>,
     key: K,
     guard: Guard,
-    cursor: *const Node<K, V>,
+    /// The child word under the cursor.
+    cursor: usize,
     steps: u64,
 }
 
@@ -772,7 +800,7 @@ where
     /// Starts a find for `key` with the cursor at the root.
     pub fn new(tree: &'t NbBst<K, V>, key: K) -> RawFind<'t, K, V> {
         let guard = tree.pin();
-        let cursor = tree.root() as *const Node<K, V>;
+        let cursor = internal_ptr(tree.root()).into_data();
         RawFind {
             tree,
             key,
@@ -782,34 +810,29 @@ where
         }
     }
 
+    fn node(&self) -> NodeRef<'_, K, V> {
+        // SAFETY: the cursor is the root or was read from a child word
+        // under our (still-held) guard.
+        unsafe { NodePtr::from_data(self.cursor).node() }
+    }
+
     /// Descends one edge. Returns `true` when the cursor now rests on a
     /// leaf (the traversal part of `Find` is complete).
     pub fn step(&mut self) -> bool {
-        // SAFETY: the cursor was the root or read from a child pointer
-        // under our (still-held) guard.
-        let cur = unsafe { &*self.cursor };
-        if cur.is_leaf {
+        let NodeRef::Internal(cur) = self.node() else {
             return true;
-        }
+        };
         let go_left =
             nbbst_dictionary::real_vs_node(&self.key, &cur.key) == std::cmp::Ordering::Less;
-        self.cursor = cur.load_child(go_left, &self.guard).as_raw();
+        let next = cur.load_child(go_left, &self.guard);
+        self.cursor = next.into_data();
         self.steps += 1;
-        // SAFETY: as above.
-        unsafe { &*self.cursor }.is_leaf
-    }
-
-    /// The key at the cursor.
-    pub fn cursor_key(&self) -> &SentinelKey<K> {
-        // SAFETY: as in `step`.
-        &unsafe { &*self.cursor }.key
+        next.is_leaf()
     }
 
     /// Whether the cursor is currently on an internal node keyed `key`.
     pub fn at_internal_keyed(&self, key: &K) -> bool {
-        // SAFETY: as in `step`.
-        let cur = unsafe { &*self.cursor };
-        !cur.is_leaf && cur.key.as_key() == Some(key)
+        matches!(self.node(), NodeRef::Internal(cur) if cur.key.as_key() == Some(key))
     }
 
     /// Edges traversed so far (the starvation experiment's progress
@@ -820,9 +843,10 @@ where
 
     /// If the cursor is on a leaf, the `Find` result.
     pub fn result(&self) -> Option<bool> {
-        // SAFETY: as in `step`.
-        let cur = unsafe { &*self.cursor };
-        cur.is_leaf.then(|| cur.key.as_key() == Some(&self.key))
+        match self.node() {
+            NodeRef::Leaf(leaf) => Some(leaf.get(&self.key).is_some()),
+            NodeRef::Internal(_) => None,
+        }
     }
 
     /// Reference to the tree, for schedule code.
@@ -1022,8 +1046,9 @@ impl<K: fmt::Debug, V> fmt::Debug for Stepper<'_, K, V> {
 mod tests {
     use super::*;
 
+    /// The paper's tree (one key per leaf) holding `keys`.
     fn tree_with(keys: &[u64]) -> NbBst<u64, u64> {
-        let t = NbBst::with_stats();
+        let t = NbBst::with_stats().one_key_leaves();
         for &k in keys {
             t.insert_entry(k, k * 10).unwrap();
         }
@@ -1243,5 +1268,80 @@ mod tests {
 
         t.check_invariants_allowing(true).unwrap();
         drop(t); // must free everything (verified under sanitizers)
+    }
+
+    /// A default (multi-entry leaf) tree holding `keys`.
+    fn fat_tree_with(keys: &[u64]) -> NbBst<u64, u64> {
+        let t = NbBst::with_stats();
+        for &k in keys {
+            t.insert_entry(k, k * 10).unwrap();
+        }
+        t
+    }
+
+    #[test]
+    fn stepped_delete_from_a_fat_leaf_replaces_it_by_copy() {
+        let t = fat_tree_with(&[10, 20, 30]);
+        let mut del = RawDelete::new(&t, 20);
+        assert_eq!(del.search(), DeleteSearch::Ready);
+        assert!(del.flag(), "iflag on the leaf's parent");
+        assert_eq!(del.mark(), MarkOutcome::Marked, "no mark step");
+        assert!(del.execute_child());
+        assert!(del.unflag());
+        assert_eq!(t.keys_snapshot(), vec![10, 30]);
+        t.check_invariants().unwrap();
+        let s = t.stats().unwrap();
+        assert_eq!(
+            (s.deletes_by_copy, s.dflag_attempts, s.mark_attempts),
+            (1, 0, 0)
+        );
+        s.check_figure4().unwrap();
+    }
+
+    #[test]
+    fn copy_delete_parked_after_iflag_is_completed_by_a_helper() {
+        let t = fat_tree_with(&[10, 20, 30]);
+        let mut del = RawDelete::new(&t, 20);
+        assert!(del.search().is_ready());
+        assert!(del.flag());
+        del.abandon();
+        // Any update of the same leaf must first finish the parked one.
+        assert!(t.insert_entry(25, 250).is_ok());
+        assert_eq!(t.keys_snapshot(), vec![10, 25, 30]);
+        t.check_invariants().unwrap();
+        let s = t.stats().unwrap();
+        assert!(s.helps > 0, "{s:?}");
+        s.check_figure4().unwrap();
+    }
+
+    #[test]
+    fn stepper_drives_fat_leaf_updates_to_completion() {
+        let t = fat_tree_with(&[10, 20, 30]);
+        let mut a = Stepper::delete(&t, 20);
+        let mut b = Stepper::insert(&t, 25, 25);
+        let mut steps = 0;
+        while !(a.is_finished() && b.is_finished()) {
+            a.step();
+            b.step();
+            steps += 1;
+            assert!(steps < 64, "steppers must terminate");
+        }
+        assert_eq!((a.result(), b.result()), (Some(true), Some(true)));
+        assert_eq!(t.keys_snapshot(), vec![10, 25, 30]);
+        t.check_invariants().unwrap();
+        t.stats().unwrap().check_figure4().unwrap();
+    }
+
+    #[test]
+    fn dropping_a_tree_frees_a_parked_split() {
+        // Fill one leaf, park the insert that splits it after its iflag,
+        // and drop the tree: teardown frees the unspliced split subtree.
+        let t = fat_tree_with(&(0..crate::node::LEAF_CAPACITY as u64).collect::<Vec<_>>());
+        let mut ins = RawInsert::new(&t, 1_000, 0);
+        assert!(ins.search().is_ready());
+        assert!(ins.flag());
+        ins.abandon();
+        t.check_invariants_allowing(true).unwrap();
+        drop(t);
     }
 }

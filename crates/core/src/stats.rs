@@ -97,6 +97,10 @@ stats_fields! {
     inserts_true,
     /// `Delete` calls that returned `true`.
     deletes_true,
+    /// `Delete` calls that returned `true` by replacing their leaf with a
+    /// copy one entry smaller (the iflag → ichild → iunflag circuit)
+    /// instead of splicing it out (dflag → mark → dchild → dunflag).
+    deletes_by_copy,
     /// `Search` traversals performed (one per attempt).
     searches,
     /// Insert attempts abandoned and retried.
@@ -107,7 +111,8 @@ stats_fields! {
     iflag_attempts,
     /// Successful iflag CAS steps (Clean -> IFlag).
     iflag_success,
-    /// Successful ichild CAS steps (lines 115/117 via HelpInsert).
+    /// Successful ichild CAS steps (lines 115/117 via HelpInsert): one per
+    /// leaf replacement, whether by an Insert or a Delete.
     ichild_success,
     /// Successful iunflag CAS steps (IFlag -> Clean).
     iunflag_success,
@@ -143,13 +148,16 @@ impl StatsSnapshot {
     /// Verifies the Figure 4 state-machine identities at quiescence (no
     /// operation in flight):
     ///
-    /// * every insertion circuit runs `iflag → ichild → iunflag` exactly
-    ///   once each: the three counts are equal;
+    /// * every leaf-replacement circuit runs `iflag → ichild → iunflag`
+    ///   exactly once each: the three counts are equal;
     /// * every deletion circuit that leaves `DFlag` does so by exactly one
     ///   of `mark` (continuing to `dchild`, `dunflag`) or `backtrack`:
     ///   `dflag = mark + backtrack`, and `mark = dchild = dunflag`;
-    /// * successful updates linearize at their child CAS:
-    ///   `inserts_true = ichild` and `deletes_true = dchild`;
+    /// * successful updates linearize at their child CAS, and each has
+    ///   exactly one: every ichild is a successful Insert or a Delete that
+    ///   replaced its leaf, so `ichild = inserts_true + deletes_by_copy`;
+    ///   a successful Delete completes by one of the two circuits, so
+    ///   `deletes_true = dchild + deletes_by_copy`;
     /// * a fresh flag is installed per circuit, never reused:
     ///   successes never exceed attempts.
     ///
@@ -164,7 +172,8 @@ impl StatsSnapshot {
     /// were deliberately *abandoned* mid-circuit (crash-injection tests):
     /// a delete abandoned before its mark CAS is completed by helpers, so
     /// its `dchild` has no matching `deletes_true`; the two
-    /// completed-operation identities therefore relax to `<=`.
+    /// completed-operation identities therefore relax to `<=` against the
+    /// flag and mark counts.
     ///
     /// # Errors
     ///
@@ -210,11 +219,15 @@ impl StatsSnapshot {
                 self.dchild_success,
             )?;
             le(
-                "inserts_true <= iflag",
-                self.inserts_true,
+                "inserts_true + deletes_by_copy <= iflag",
+                self.inserts_true + self.deletes_by_copy,
                 self.iflag_success,
             )?;
-            le("deletes_true <= mark", self.deletes_true, self.mark_success)?;
+            le(
+                "deletes_true <= mark + deletes_by_copy",
+                self.deletes_true,
+                self.mark_success + self.deletes_by_copy,
+            )?;
         } else {
             eq("iflag = ichild", self.iflag_success, self.ichild_success)?;
             eq(
@@ -234,14 +247,14 @@ impl StatsSnapshot {
                 self.dunflag_success,
             )?;
             eq(
-                "inserts_true = ichild",
-                self.inserts_true,
+                "ichild = inserts_true + deletes_by_copy",
                 self.ichild_success,
+                self.inserts_true + self.deletes_by_copy,
             )?;
             eq(
-                "deletes_true = dchild",
+                "deletes_true = dchild + deletes_by_copy",
                 self.deletes_true,
-                self.dchild_success,
+                self.dchild_success + self.deletes_by_copy,
             )?;
         }
         if self.iflag_success > self.iflag_attempts {
@@ -301,6 +314,50 @@ mod tests {
             ..Default::default()
         };
         snap.check_figure4().unwrap();
+    }
+
+    #[test]
+    fn figure4_counts_deletes_completed_by_leaf_copy_exactly() {
+        // 4 inserts and 3 copy-deletes share the insertion circuit (7
+        // ichild); 2 deletes splice their leaf out (2 dchild).
+        let snap = StatsSnapshot {
+            iflag_attempts: 7,
+            iflag_success: 7,
+            ichild_success: 7,
+            iunflag_success: 7,
+            inserts_true: 4,
+            deletes_by_copy: 3,
+            dflag_attempts: 2,
+            dflag_success: 2,
+            mark_attempts: 2,
+            mark_success: 2,
+            dchild_success: 2,
+            dunflag_success: 2,
+            deletes_true: 5,
+            ..Default::default()
+        };
+        snap.check_figure4().unwrap();
+
+        // One copy-delete too few or too many breaks both sums.
+        let short = StatsSnapshot {
+            deletes_by_copy: 2,
+            ..snap
+        };
+        let err = short.check_figure4().unwrap_err();
+        assert!(
+            err.contains("ichild = inserts_true + deletes_by_copy"),
+            "{err}"
+        );
+        let long = StatsSnapshot {
+            inserts_true: 3,
+            deletes_by_copy: 4,
+            ..snap
+        };
+        let err = long.check_figure4().unwrap_err();
+        assert!(
+            err.contains("deletes_true = dchild + deletes_by_copy"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,18 +1,25 @@
 //! The non-blocking BST: `Search`, `Find`, `Insert`, `Delete` and the
-//! helping routines, line-for-line against the paper's Figures 8 and 9.
+//! helping routines, line-for-line against the paper's Figures 8 and 9,
+//! with multi-entry leaves (DESIGN.md §13).
 //!
 //! Each public operation pins the epoch collector once per *attempt* (the
 //! paper's retry loop iterations), so every pointer read during an attempt
 //! — including Info records published by other threads — stays live for
-//! the whole attempt. Retired nodes and Info records are handed to the
-//! collector at exactly the points the paper's Section 6 prescribes
-//! (child CAS for nodes, unflag/backtrack CAS for Info records).
+//! the whole attempt. Nodes are retired at the child CAS that unlinks
+//! them, as the paper's Section 6 prescribes. An Info record is retired
+//! later than Section 6 suggests: not at its unflag or backtrack CAS but
+//! at the flag or mark CAS that displaces it from the Clean update word it
+//! is left in (`retire_displaced`), so its address cannot be reused while
+//! any attempt that read the word is pinned (DESIGN.md §2).
 
-use crate::node::{DInfo, IInfo, Info, Node, UpdateRef, UpdateWordExt};
+use crate::node::{
+    internal_ptr, DInfo, Edit, IInfo, Info, Internal, Leaf, NodePtr, NodePtrExt, NodeRef,
+    UpdateRef, UpdateWordExt, LEAF_CAPACITY,
+};
 use crate::state::State;
 use crate::stats::{StatsSnapshot, TreeStats};
 use nbbst_dictionary::{real_vs_node, ConcurrentMap, SentinelKey};
-use nbbst_reclaim::{Collector, Guard, Owned, Shared};
+use nbbst_reclaim::{Collector, Guard, Owned};
 use std::cmp::Ordering as CmpOrdering;
 use std::fmt;
 use std::sync::atomic::Ordering as AtomicOrdering;
@@ -34,9 +41,20 @@ use std::sync::Arc;
 /// # Type parameters
 ///
 /// `K: Ord + Clone` — keys are cloned into routing nodes (the paper's
-/// internal nodes duplicate leaf keys). `V: Clone` — an insertion next to
-/// leaf `l` creates a *new sibling* copy of `l` (Figure 1), which copies
-/// `l`'s value.
+/// internal nodes duplicate leaf keys). `V: Clone` — leaves are immutable,
+/// so every update builds a copy of the leaf it replaces (Figure 1's new
+/// sibling, generalised), cloning the entries it keeps.
+///
+/// # Leaves
+///
+/// A leaf holds up to 32 sorted entries (the paper's tree has one key per
+/// leaf). An Insert into a leaf with room, and a Delete from a leaf with
+/// at least two entries, replace the leaf with an edited copy through the
+/// paper's `iflag → ichild → iunflag` circuit; an Insert into a full leaf
+/// installs an internal node over two half leaves, as Figure 1 does at
+/// capacity 1. Only a Delete that would empty its leaf runs the paper's
+/// `dflag → mark → dchild → dunflag` circuit. Leaves are never merged.
+/// See DESIGN.md §13.
 ///
 /// # Examples
 ///
@@ -75,25 +93,29 @@ use std::sync::Arc;
 pub struct NbBst<K, V> {
     /// "The shared variable Root is a pointer to the root of the tree, and
     /// this pointer is never changed" (Section 4.1).
-    root: Box<Node<K, V>>,
+    root: Box<Internal<K, V>>,
     collector: Collector,
     stats: Option<Arc<TreeStats>>,
+    /// Entries per leaf: `LEAF_CAPACITY`, or 1 for the paper's tree
+    /// ([`NbBst::one_key_leaves`]).
+    leaf_capacity: usize,
 }
 
 /// What the paper's `Search(k)` returns (Figure 8 lines 23–35): the leaf
 /// reached, the last two internal nodes on the path, and copies of their
 /// update words.
 pub(crate) struct SearchResult<'g, K, V> {
-    /// Grandparent of `l`; null when the search took a single step (which
-    /// by postcondition (4) only happens when `l` is the `∞1` leaf).
-    pub(crate) gp: Shared<'g, Node<K, V>>,
-    /// Parent of `l` (always an internal node).
-    pub(crate) p: Shared<'g, Node<K, V>>,
+    /// Grandparent of `l`; `None` when the search took a single step (which
+    /// only happens when `l` is the root's left child, a leaf holding `∞1`).
+    pub(crate) gp: Option<&'g Internal<K, V>>,
+    /// Parent of `l`.
+    pub(crate) p: &'g Internal<K, V>,
     /// The leaf reached.
-    pub(crate) l: Shared<'g, Node<K, V>>,
+    pub(crate) leaf: &'g Leaf<K, V>,
     /// Copy of `p`'s update word read during the traversal.
     pub(crate) pupdate: UpdateRef<'g, K, V>,
-    /// Copy of `gp`'s update word read during the traversal.
+    /// Copy of `gp`'s update word read during the traversal (null without
+    /// a grandparent).
     pub(crate) gpupdate: UpdateRef<'g, K, V>,
 }
 
@@ -105,12 +127,13 @@ where
     /// Creates the initial tree of Figure 6(a): an internal root keyed
     /// `∞2` whose children are the `∞1` and `∞2` sentinel leaves.
     pub fn new() -> NbBst<K, V> {
-        let left = Box::into_raw(Box::new(Node::leaf(SentinelKey::Inf1, None)));
-        let right = Box::into_raw(Box::new(Node::leaf(SentinelKey::Inf2, None)));
+        let left = Leaf::sentinel(&SentinelKey::Inf1).into_ptr();
+        let right = Leaf::sentinel(&SentinelKey::Inf2).into_ptr();
         NbBst {
-            root: Box::new(Node::internal(SentinelKey::Inf2, left, right)),
+            root: Box::new(Internal::new(SentinelKey::Inf2, left, right)),
             collector: Collector::new(),
             stats: None,
+            leaf_capacity: LEAF_CAPACITY,
         }
     }
 
@@ -156,6 +179,27 @@ where
         t
     }
 
+    /// Turns a freshly built, empty tree into the paper's tree: one key
+    /// per leaf, so every Insert runs Figure 1 and every Delete Figure 2.
+    /// For the figure binaries and the tests that pin the paper's shapes
+    /// and schedules; the protocol code is the same.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tree already holds keys.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn one_key_leaves(mut self) -> NbBst<K, V> {
+        assert_eq!(self.len_slow(), 0, "one_key_leaves() needs an empty tree");
+        self.leaf_capacity = 1;
+        self
+    }
+
+    /// Entries a leaf may hold (1 for the paper's tree).
+    pub fn leaf_capacity(&self) -> usize {
+        self.leaf_capacity
+    }
+
     /// A snapshot of the CAS/helping counters, if this tree was built with
     /// [`NbBst::with_stats`].
     pub fn stats(&self) -> Option<StatsSnapshot> {
@@ -188,7 +232,7 @@ where
     }
 
     /// The root node (never changes; Section 4.1).
-    pub(crate) fn root(&self) -> &Node<K, V> {
+    pub(crate) fn root(&self) -> &Internal<K, V> {
         &self.root
     }
 
@@ -198,36 +242,35 @@ where
 
     /// Traverses one branch from the root to a leaf, recording the last two
     /// internal nodes and their update words.
-    pub(crate) fn search<'g>(&self, key: &K, guard: &'g Guard) -> SearchResult<'g, K, V> {
+    pub(crate) fn search<'g>(&'g self, key: &K, guard: &'g Guard) -> SearchResult<'g, K, V> {
         self.bump(|s| &s.searches);
-        let mut gp: Shared<'g, Node<K, V>> = Shared::null();
-        let mut p: Shared<'g, Node<K, V>> = Shared::null();
-        // SAFETY: the root lives as long as `self`.
-        let mut l: Shared<'g, Node<K, V>> =
-            unsafe { Shared::from_data(&*self.root as *const Node<K, V> as usize) };
-        let mut gpupdate: UpdateRef<'g, K, V> = Shared::null();
-        let mut pupdate: UpdateRef<'g, K, V> = Shared::null();
-
+        let mut gp = None;
+        let mut p: &'g Internal<K, V> = &self.root;
+        let mut gpupdate = UpdateRef::null();
+        let mut pupdate = p.load_update(guard);
+        let mut l = p.load_child(real_vs_node(key, &p.key) == CmpOrdering::Less, guard);
         loop {
-            // SAFETY: `l` was read (under `guard`) from a child pointer of
-            // a node reached from the root, or is the root itself.
-            let l_ref = unsafe { l.deref() };
-            if l_ref.is_leaf {
-                break;
+            // SAFETY: `l` was read (under `guard`) from a child word of a
+            // node reached from the root.
+            match unsafe { l.node() } {
+                NodeRef::Leaf(leaf) => {
+                    return SearchResult {
+                        gp,
+                        p,
+                        leaf,
+                        pupdate,
+                        gpupdate,
+                    }
+                }
+                NodeRef::Internal(node) => {
+                    gp = Some(p); //                           line 28
+                    p = node; //                               line 29
+                    gpupdate = pupdate; //                     line 30
+                    pupdate = node.load_update(guard); //      line 31
+                    let go_left = real_vs_node(key, &node.key) == CmpOrdering::Less;
+                    l = node.load_child(go_left, guard); //    line 32
+                }
             }
-            gp = p; //                                 line 28
-            p = l; //                                  line 29
-            gpupdate = pupdate; //                     line 30
-            pupdate = l_ref.load_update(guard); //     line 31
-            let go_left = real_vs_node(key, &l_ref.key) == CmpOrdering::Less;
-            l = l_ref.load_child(go_left, guard); //   line 32
-        }
-        SearchResult {
-            gp,
-            p,
-            l,
-            pupdate,
-            gpupdate,
         }
     }
 
@@ -242,8 +285,7 @@ where
         let guard = self.pin();
         let s = self.search(key, &guard);
         self.bump(|st| &st.finds);
-        // SAFETY: `l` points to a leaf protected by `guard`.
-        unsafe { s.l.deref() }.key.as_key() == Some(key)
+        s.leaf.get(key).is_some()
     }
 
     /// Like [`NbBst::contains_key`], returning a clone of the stored value.
@@ -251,13 +293,7 @@ where
         let guard = self.pin();
         let s = self.search(key, &guard);
         self.bump(|st| &st.finds);
-        // SAFETY: `l` points to a leaf protected by `guard`.
-        let l_ref = unsafe { s.l.deref() };
-        if l_ref.key.as_key() == Some(key) {
-            l_ref.value.clone()
-        } else {
-            None
-        }
+        s.leaf.get(key).cloned()
     }
 
     // ------------------------------------------------------------------
@@ -271,28 +307,13 @@ where
     /// `Err((key, value))` if the key was already present (the paper's
     /// `Insert` returns `False`; we additionally hand the inputs back).
     pub fn insert_entry(&self, key: K, value: V) -> Result<(), (K, V)> {
-        // Line 44: the new leaf is allocated once, before the retry loop.
-        let new_leaf = Box::into_raw(Box::new(Node::leaf(
-            SentinelKey::Key(key.clone()),
-            Some(value),
-        )));
-
         loop {
             let guard = self.pin();
             let s = self.search(&key, &guard); //                       line 49
-                                               // SAFETY: `l` points to a leaf protected by `guard`.
-            let l_ref = unsafe { s.l.deref() };
-            if l_ref.key.as_key() == Some(&key) {
-                // Line 50: cannot insert a duplicate key. Recover the
-                // never-published leaf's contents.
+            if s.leaf.get(&key).is_some() {
+                // Line 50: cannot insert a duplicate key.
                 self.bump(|st| &st.inserts);
-                // SAFETY: `new_leaf` was never published.
-                let leaf = unsafe { Box::from_raw(new_leaf) };
-                let v = leaf.value.expect("fresh leaf carries its value");
-                let SentinelKey::Key(k) = leaf.key else {
-                    unreachable!("fresh leaf has a real key")
-                };
-                return Err((k, v));
+                return Err((key, value));
             }
             if s.pupdate.state() != State::Clean {
                 // Line 51: help the operation blocking the parent, retry.
@@ -300,66 +321,67 @@ where
                 self.bump(|st| &st.insert_retries);
                 continue;
             }
+            // Lines 52–54: build the replacement of Figure 1.
+            let new = s
+                .leaf
+                .replacement(Edit::Insert(&key, &value), self.leaf_capacity);
+            if self.replace_leaf(&s, new, &guard) {
+                self.bump(|st| &st.inserts);
+                self.bump(|st| &st.inserts_true);
+                return Ok(());
+            }
+            self.bump(|st| &st.insert_retries);
+        }
+    }
 
-            // Lines 52–54: build the replacement subtree of Figure 1.
-            let new_sibling =
-                Box::into_raw(Box::new(Node::leaf(l_ref.key.clone(), l_ref.value.clone())));
-            let new_key = SentinelKey::Key(key.clone());
-            let (routing, left, right) = if new_key < l_ref.key {
-                (
-                    l_ref.key.clone(),
-                    new_leaf as *const _,
-                    new_sibling as *const _,
-                )
-            } else {
-                (new_key, new_sibling as *const _, new_leaf as *const _)
-            };
-            let new_internal = Box::into_raw(Box::new(Node::internal(routing, left, right)));
+    /// Lines 55–61 of `Insert`, shared by every update that replaces a
+    /// leaf: publish a fresh IInfo record with the iflag CAS and finish it
+    /// with `HelpInsert`. If the iflag fails, frees the unpublished
+    /// replacement, helps whoever holds the flag and returns `false`, so
+    /// the caller retries from `Search`.
+    fn replace_leaf(
+        &self,
+        s: &SearchResult<'_, K, V>,
+        new: NodePtr<'_, K, V>,
+        guard: &Guard,
+    ) -> bool {
+        // Line 55: fresh IInfo record.
+        let op = Owned::new(Info::Insert(IInfo {
+            p: s.p,
+            l: s.leaf,
+            new: new.into_data(),
+        }))
+        .with_tag(State::IFlag.tag());
 
-            // Line 55: fresh IInfo record.
-            let op = Owned::new(Info::Insert(IInfo {
-                p: s.p.as_raw(),
-                l: s.l.as_raw(),
-                new_internal,
-            }))
-            .with_tag(State::IFlag.tag());
-
-            // Line 56: the iflag CAS.
-            self.bump(|st| &st.iflag_attempts);
-            // SAFETY: `p` was read by this search and is guard-protected.
-            let p_ref = unsafe { s.p.deref() };
-            // AcqRel: Release publishes the fresh IInfo record (and the
-            // subtree it points to) to helpers; failure is Acquire because
-            // the observed word is helped (dereferenced) below, and a
-            // failed CAS must not synchronize more than a successful one,
-            // so success carries the Acquire too (enforced by nbbst-lint).
-            match p_ref.update.compare_exchange(
-                s.pupdate,
-                op,
-                AtomicOrdering::AcqRel,
-                AtomicOrdering::Acquire,
-                &guard,
-            ) {
-                Ok(op_word) => {
-                    // Lines 57–59: flag won; finish and report success.
-                    self.bump(|st| &st.iflag_success);
-                    self.help_insert(op_word, &guard);
-                    self.bump(|st| &st.inserts);
-                    self.bump(|st| &st.inserts_true);
-                    return Ok(());
-                }
-                Err(e) => {
-                    // Line 61: the iflag CAS failed; help whoever holds the
-                    // flag and retry. The speculative nodes are ours alone.
-                    // SAFETY: never published.
-                    unsafe {
-                        drop(Box::from_raw(new_sibling));
-                        drop(Box::from_raw(new_internal));
-                    }
-                    drop(e.new); // the unpublished IInfo record
-                    self.help(e.current, &guard);
-                    self.bump(|st| &st.insert_retries);
-                }
+        // Line 56: the iflag CAS.
+        self.bump(|st| &st.iflag_attempts);
+        // AcqRel: Release publishes the fresh IInfo record (and the
+        // replacement it points to) to helpers; failure is Acquire because
+        // the observed word is helped (dereferenced) below, and a failed
+        // CAS must not synchronize more than a successful one, so success
+        // carries the Acquire too (enforced by nbbst-lint).
+        match s.p.update.compare_exchange(
+            s.pupdate,
+            op,
+            AtomicOrdering::AcqRel,
+            AtomicOrdering::Acquire,
+            guard,
+        ) {
+            Ok(op_word) => {
+                // Lines 57–59: flag won; finish.
+                self.bump(|st| &st.iflag_success);
+                // SAFETY: our iflag displaced `pupdate` from `p`.
+                unsafe { self.retire_displaced(s.pupdate, guard) };
+                self.help_insert(op_word, guard);
+                true
+            }
+            Err(e) => {
+                // Line 61: help whoever holds the flag.
+                // SAFETY: the replacement was never published.
+                unsafe { new.free_subtree() };
+                drop(e.new); // the unpublished IInfo record
+                self.help(e.current, guard);
+                false
             }
         }
     }
@@ -375,21 +397,38 @@ where
 
     /// Removes `key`, returning a clone of its value if it was present.
     pub fn remove_entry(&self, key: &K) -> Option<V> {
-        self.remove_and(key, |v| v.cloned())?
+        self.remove_and(key, V::clone)
     }
 
-    /// Shared deletion driver; `extract` runs on the deleted leaf's value
+    /// Shared deletion driver; `extract` runs on the deleted entry's value
     /// while it is still guard-protected.
-    fn remove_and<R>(&self, key: &K, extract: impl Fn(Option<&V>) -> R) -> Option<R> {
+    fn remove_and<R>(&self, key: &K, extract: impl FnOnce(&V) -> R) -> Option<R> {
         loop {
             let guard = self.pin();
             let s = self.search(key, &guard); //                        line 75
-                                              // SAFETY: `l` points to a leaf protected by `guard`.
-            let l_ref = unsafe { s.l.deref() };
-            if l_ref.key.as_key() != Some(key) {
+            let Some(value) = s.leaf.get(key) else {
                 // Line 76: key not in the tree.
                 self.bump(|st| &st.deletes);
                 return None;
+            };
+            if s.leaf.len() > 1 {
+                // The leaf keeps other entries: replace it by a copy
+                // without `key` through the insertion circuit, which only
+                // needs the parent Clean.
+                if s.pupdate.state() != State::Clean {
+                    self.help(s.pupdate, &guard);
+                    self.bump(|st| &st.delete_retries);
+                    continue;
+                }
+                let new = s.leaf.replacement(Edit::Remove(key), self.leaf_capacity);
+                if self.replace_leaf(&s, new, &guard) {
+                    self.bump(|st| &st.deletes);
+                    self.bump(|st| &st.deletes_true);
+                    self.bump(|st| &st.deletes_by_copy);
+                    return Some(extract(value));
+                }
+                self.bump(|st| &st.delete_retries);
+                continue;
             }
             if s.gpupdate.state() != State::Clean {
                 // Line 77: grandparent busy; help, retry.
@@ -404,27 +443,24 @@ where
                 continue;
             }
 
-            // Line 80: fresh DInfo record. `gp` is non-null because `l`
-            // holds a real key (Search postcondition 4).
-            debug_assert!(!s.gp.is_null(), "real-keyed leaf has a grandparent");
+            // Line 80: fresh DInfo record. A leaf holding a real key sits
+            // below the root's children, so it has a grandparent.
+            let gp = s.gp.expect("a real key's leaf has a grandparent");
             let op = Owned::new(Info::Delete(DInfo {
-                gp: s.gp.as_raw(),
-                p: s.p.as_raw(),
-                l: s.l.as_raw(),
+                gp,
+                p: s.p,
+                l: s.leaf,
                 pupdate: s.pupdate.into_data(),
             }))
             .with_tag(State::DFlag.tag());
 
             // Line 81: the dflag CAS.
             self.bump(|st| &st.dflag_attempts);
-            // SAFETY: `gp` was read by this search and is guard-protected
-            // (non-null was asserted above).
-            let gp_ref = unsafe { s.gp.deref() };
             // AcqRel: Release publishes the fresh DInfo record; failure is
             // Acquire because the observed word is helped (dereferenced)
             // below, and success must be at least as strong on the read
             // side as failure (enforced by nbbst-lint).
-            match gp_ref.update.compare_exchange(
+            match gp.update.compare_exchange(
                 s.gpupdate,
                 op,
                 AtomicOrdering::AcqRel,
@@ -433,14 +469,14 @@ where
             ) {
                 Ok(op_word) => {
                     self.bump(|st| &st.dflag_success);
-                    // Clone the value before the leaf can be retired; the
-                    // guard keeps `l_ref` valid either way.
-                    let result = extract(l_ref.value.as_ref());
+                    // SAFETY: our dflag displaced `gpupdate` from `gp`.
+                    unsafe { self.retire_displaced(s.gpupdate, &guard) };
                     if self.help_delete(op_word, &guard) {
-                        // Line 83: deletion completed.
+                        // Line 83: deletion completed. The guard keeps the
+                        // retired leaf, and so `value`, readable.
                         self.bump(|st| &st.deletes);
                         self.bump(|st| &st.deletes_true);
-                        return Some(result);
+                        return Some(extract(value));
                     }
                     self.bump(|st| &st.delete_retries);
                 }
@@ -476,30 +512,28 @@ where
     pub(crate) fn help_insert(&self, op: UpdateRef<'_, K, V>, guard: &Guard) {
         self.bump(|st| &st.help_insert_calls);
         let op = op.with_tag(0);
-        // SAFETY: `op` was read from (or just installed into) an update
-        // word under `guard`; Info records are retired only after their
-        // unflag CAS, so it is live here.
+        // SAFETY: `op` was read from (or just installed into) a flagged
+        // update word under `guard`; Info records are retired only once a
+        // later flag displaces them from a Clean word, so it is live here.
         let info = unsafe { op.deref() }.as_insert();
-        // SAFETY: nodes referenced by a live Info record are retired no
-        // earlier than the record's circuit completes.
+        // SAFETY: `p` cannot be unlinked while flagged, and the replacement
+        // is unlinked only after the iunflag, both after our read of the
+        // flagged word; `l` is only compared, never dereferenced.
         let p = unsafe { &*info.p };
-        let l: Shared<'_, Node<K, V>> = unsafe { Shared::from_data(info.l as usize) };
-        // SAFETY: as above — named by a live Info record.
-        let new: Shared<'_, Node<K, V>> = unsafe { Shared::from_data(info.new_internal as usize) };
+        let l = info.leaf_word();
 
         // Line 66: the ichild CAS (via CAS-Child). At most one helper's CAS
         // succeeds; that helper retires the replaced leaf.
-        if self.cas_child(p, l, new, guard) {
+        if self.cas_child(p, l, info.new_word(), guard) {
             self.bump(|st| &st.ichild_success);
             self.bump(|st| &st.nodes_retired);
             // SAFETY: `l` has just been unlinked by our CAS and is retired
             // exactly once (only the successful CASer reaches this).
-            unsafe { guard.defer_destroy(l) };
+            unsafe { l.retire(guard) };
         }
 
-        // Line 67: the iunflag CAS. The winner retires the Info record
-        // (Section 6: "retirement ... could be performed when an unflag ...
-        // CAS takes place").
+        // Line 67: the iunflag CAS. The record stays in the Clean word as
+        // a comparand until the next flag of `p` displaces and retires it.
         let expected = op.with_tag(State::IFlag.tag());
         let clean = op.with_tag(State::Clean.tag());
         // Release: a thread that Acquire-loads the Clean word must also see
@@ -515,10 +549,6 @@ where
             .is_ok()
         {
             self.bump(|st| &st.iunflag_success);
-            self.bump(|st| &st.infos_retired);
-            // SAFETY: one retire per circuit (unique unflag winner); the
-            // word now holds the pointer only as an inert comparand.
-            unsafe { guard.defer_destroy(op) };
         }
     }
 
@@ -528,12 +558,11 @@ where
     pub(crate) fn help_delete(&self, op: UpdateRef<'_, K, V>, guard: &Guard) -> bool {
         self.bump(|st| &st.help_delete_calls);
         let op = op.with_tag(0);
-        // SAFETY: as in `help_insert` — live until its circuit's unflag or
-        // backtrack CAS retires it.
+        // SAFETY: as in `help_insert` — read from a flagged or marked word
+        // under `guard`, and retired only once displaced later.
         let info = unsafe { op.deref() }.as_delete();
-        let p = unsafe { &*info.p };
         // SAFETY: as above — named by a live Info record.
-        let gp = unsafe { &*info.gp };
+        let (p, gp) = unsafe { (&*info.p, &*info.gp) };
 
         // Line 91: the mark CAS, expecting the pupdate word the deleter's
         // Search observed.
@@ -553,49 +582,44 @@ where
             guard,
         );
 
-        let marked_by_us = outcome.is_ok();
-        let already_marked_for_op = matches!(&outcome, Err(e) if e.current == mark_word);
-        if marked_by_us {
-            self.bump(|st| &st.mark_success);
-        }
-        if marked_by_us || already_marked_for_op {
-            // Line 92: `op→p` is successfully marked (by us or a helper of
-            // this same operation); complete the deletion.
-            self.help_marked(op, guard); //                line 93
-            true //                                        line 94
-        } else {
-            let current = match outcome {
-                Err(e) => e.current,
-                Ok(_) => unreachable!("handled above"),
-            };
-            // Line 97: help the operation that caused the failure.
-            self.help(current, guard);
-            // Line 98: the backtrack CAS removes our flag so the Delete
-            // can retry from scratch.
-            let dflag = op.with_tag(State::DFlag.tag());
-            let clean = op.with_tag(State::Clean.tag());
-            // Release pairs with the Acquire loads of helpers that observe
-            // Clean; the failure value is ignored.
-            if gp
-                .update
-                .compare_exchange(
-                    dflag,
-                    clean,
-                    AtomicOrdering::Release,
-                    AtomicOrdering::Relaxed,
-                    guard,
-                )
-                .is_ok()
-            {
-                self.bump(|st| &st.backtrack_success);
-                self.bump(|st| &st.infos_retired);
-                // SAFETY: backtrack and dunflag are mutually exclusive for
-                // one DInfo (the paper's Section 5 argument), so this is
-                // the record's unique retirement.
-                unsafe { guard.defer_destroy(op) };
+        let current = match outcome {
+            Ok(_) => {
+                self.bump(|st| &st.mark_success);
+                // SAFETY: our mark displaced `expected` from `p`.
+                unsafe { self.retire_displaced(expected, guard) };
+                None
             }
-            false //                                       line 99
+            // A helper of this same operation already marked `p`.
+            Err(e) if e.current == mark_word => None,
+            Err(e) => Some(e.current),
+        };
+        let Some(current) = current else {
+            // Line 92: `op→p` is successfully marked; complete the deletion.
+            self.help_marked(op, guard); //                line 93
+            return true; //                                line 94
+        };
+        // Line 97: help the operation that caused the failure.
+        self.help(current, guard);
+        // Line 98: the backtrack CAS removes our flag so the Delete can
+        // retry from scratch.
+        let dflag = op.with_tag(State::DFlag.tag());
+        let clean = op.with_tag(State::Clean.tag());
+        // Release pairs with the Acquire loads of helpers that observe
+        // Clean; the failure value is ignored.
+        if gp
+            .update
+            .compare_exchange(
+                dflag,
+                clean,
+                AtomicOrdering::Release,
+                AtomicOrdering::Relaxed,
+                guard,
+            )
+            .is_ok()
+        {
+            self.bump(|st| &st.backtrack_success);
         }
+        false //                                           line 99
     }
 
     /// `HelpMarked(op)` (lines 100–106): splice the marked parent out of
@@ -604,17 +628,18 @@ where
         self.bump(|st| &st.help_marked_calls);
         let op = op.with_tag(0);
         // SAFETY: `op` is a live, guard-protected DInfo record (retired
-        // only by its circuit's dunflag or backtrack winner), and the
-        // nodes it names outlive it.
+        // only once displaced from its grandparent's Clean word, after we
+        // read it marked or flagged), and the nodes it names outlive it.
         let info = unsafe { op.deref() }.as_delete();
-        let p = unsafe { &*info.p };
-        let gp = unsafe { &*info.gp };
+        // SAFETY: as above — named by a live Info record.
+        let (p, gp) = unsafe { (&*info.p, &*info.gp) };
+        let l = info.leaf_word();
 
         // Lines 103–104: `other` := the sibling of the leaf being deleted.
         // `p` is marked, so its child pointers are frozen; both loads see
         // final values.
         let right = p.load_child(false, guard);
-        let other = if right.as_raw() == info.l {
+        let other = if right == l {
             p.load_child(true, guard)
         } else {
             right
@@ -622,22 +647,20 @@ where
 
         // Line 105: the dchild CAS. The unique winner retires the two
         // removed nodes (the marked parent and the deleted leaf).
-        // SAFETY: both nodes are named by the live DInfo record above.
-        let p_shared: Shared<'_, Node<K, V>> = unsafe { Shared::from_data(info.p as usize) };
-        let l_shared: Shared<'_, Node<K, V>> = unsafe { Shared::from_data(info.l as usize) };
-        if self.cas_child(gp, p_shared, other, guard) {
+        let p_word = internal_ptr(info.p);
+        if self.cas_child(gp, p_word, other, guard) {
             self.bump(|st| &st.dchild_success);
             self.bump(|st| &st.nodes_retired);
             self.bump(|st| &st.nodes_retired);
             // SAFETY: our CAS unlinked `p` (and with it the leaf `l`);
             // unique retirement as only one dchild per circuit succeeds.
             unsafe {
-                guard.defer_destroy(p_shared);
-                guard.defer_destroy(l_shared);
+                p_word.retire(guard);
+                l.retire(guard);
             }
         }
 
-        // Line 106: the dunflag CAS; winner retires the DInfo record.
+        // Line 106: the dunflag CAS.
         let dflag = op.with_tag(State::DFlag.tag());
         let clean = op.with_tag(State::Clean.tag());
         // Release: a thread that Acquire-loads the Clean word must also see
@@ -654,10 +677,29 @@ where
             .is_ok()
         {
             self.bump(|st| &st.dunflag_success);
+        }
+    }
+
+    /// Retires the Info record of `word`, a Clean update word the caller's
+    /// successful flag or mark CAS just replaced.
+    ///
+    /// Retiring here, not at the record's own unflag or backtrack, keeps
+    /// the record allocated for as long as its pointer sits in an update
+    /// word. An attempt that read the word is pinned from before the
+    /// displacement, so the address cannot be reused under it, and its
+    /// flag CAS cannot succeed against a recycled record: the Info-record
+    /// ABA of DESIGN.md §2. A DInfo also stays in its marked parent's
+    /// word, but that parent was unlinked before the DInfo's grandparent
+    /// word could be displaced, and no CAS ever expects a Mark word.
+    ///
+    /// # Safety
+    ///
+    /// The caller's CAS displaced `word`, so it retires the record once.
+    pub(crate) unsafe fn retire_displaced(&self, word: UpdateRef<'_, K, V>, guard: &Guard) {
+        if !word.is_null() {
             self.bump(|st| &st.infos_retired);
-            // SAFETY: unique retirement (unique dunflag winner; backtrack
-            // cannot also succeed once the mark CAS succeeded).
-            unsafe { guard.defer_destroy(op) };
+            // SAFETY: per the contract: displaced once, by the caller.
+            unsafe { guard.defer_destroy(word.with_tag(0)) };
         }
     }
 
@@ -665,21 +707,20 @@ where
     /// right child slot by comparing keys, then CAS it.
     pub(crate) fn cas_child(
         &self,
-        parent: &Node<K, V>,
-        old: Shared<'_, Node<K, V>>,
-        new: Shared<'_, Node<K, V>>,
+        parent: &Internal<K, V>,
+        old: NodePtr<'_, K, V>,
+        new: NodePtr<'_, K, V>,
         guard: &Guard,
     ) -> bool {
-        // SAFETY: `new` is either a freshly built (unpublished) subtree or
-        // a node read under `guard`.
-        let new_ref = unsafe { new.deref() };
-        let slot = if new_ref.key < parent.key {
+        // SAFETY: `new` is either a freshly built (unpublished) replacement
+        // named by a live IInfo, or a node read under `guard`.
+        let slot = if unsafe { new.node() }.goes_left_of(&parent.key) {
             &parent.left //                                line 115
         } else {
             &parent.right //                               line 117
         };
         // Release publishes the spliced node's initialization (for ichild,
-        // the whole fresh subtree) to Acquire-loading traversals; the
+        // the whole fresh replacement) to Acquire-loading traversals; the
         // failure value is ignored (a helper already did the splice).
         slot.compare_exchange(
             old,
@@ -694,10 +735,27 @@ where
 
 #[cfg(test)]
 impl NbBst<u64, u64> {
-    /// Builds, in O(n) time, exactly the tree that
-    /// `insert_entry(0, 0) .. insert_entry(n-1, n-1)` produces: a
-    /// right-leaning path of depth `n + 1` under the sentinel spine
-    /// (the tree is never rebalanced, so ascending inserts degenerate).
+    /// A tree whose root's left child is `left` (owned, unpublished) and
+    /// whose leaves hold up to `leaf_capacity` entries: test trees built
+    /// directly instead of through the protocol.
+    pub(crate) fn from_root_left(
+        left: NodePtr<'_, u64, u64>,
+        leaf_capacity: usize,
+    ) -> NbBst<u64, u64> {
+        let inf2 = Leaf::sentinel(&SentinelKey::Inf2).into_ptr();
+        NbBst {
+            root: Box::new(Internal::new(SentinelKey::Inf2, left, inf2)),
+            collector: Collector::new(),
+            stats: None,
+            leaf_capacity,
+        }
+    }
+
+    /// Builds, in O(n) time, exactly the one-key-leaf tree that
+    /// `insert_entry(0, 0) .. insert_entry(n-1, n-1)` produces on
+    /// `NbBst::new().one_key_leaves()`: a right-leaning path of depth
+    /// `n + 1` under the sentinel spine (the tree is never rebalanced, so
+    /// ascending inserts degenerate).
     ///
     /// Test-only: the public-API build walks the whole existing path per
     /// insert and is therefore Θ(n²) — minutes of wall clock at the
@@ -706,22 +764,17 @@ impl NbBst<u64, u64> {
     /// constructor against the real insert path shape-for-shape.
     pub(crate) fn degenerate_ascending(n: u64) -> NbBst<u64, u64> {
         assert!(n >= 1, "a degenerate path needs at least one key");
+        let leaf = |k: u64| Leaf::with_entries([(k, k)]).into_ptr();
+        let internal = |key, left, right| Internal::new(key, left, right).into_ptr();
         // Innermost: the deepest leaf holds the largest key. Each wrap
         // `internal(k) { left: leaf(k-1), right: <deeper chain> }`
         // mirrors one ascending insert (routing key = the larger key).
-        let mut cur = Box::into_raw(Box::new(Node::leaf(SentinelKey::Key(n - 1), Some(n - 1))));
+        let mut cur = leaf(n - 1);
         for k in (1..n).rev() {
-            let left = Box::into_raw(Box::new(Node::leaf(SentinelKey::Key(k - 1), Some(k - 1))));
-            cur = Box::into_raw(Box::new(Node::internal(SentinelKey::Key(k), left, cur)));
+            cur = internal(SentinelKey::Key(k), leaf(k - 1), cur);
         }
-        let inf1 = Box::into_raw(Box::new(Node::leaf(SentinelKey::Inf1, None)));
-        let under_root = Box::into_raw(Box::new(Node::internal(SentinelKey::Inf1, cur, inf1)));
-        let inf2 = Box::into_raw(Box::new(Node::leaf(SentinelKey::Inf2, None)));
-        NbBst {
-            root: Box::new(Node::internal(SentinelKey::Inf2, under_root, inf2)),
-            collector: Collector::new(),
-            stats: None,
-        }
+        let inf1 = Leaf::sentinel(&SentinelKey::Inf1).into_ptr();
+        NbBst::from_root_left(internal(SentinelKey::Inf1, cur, inf1), 1)
     }
 }
 
@@ -769,103 +822,75 @@ where
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("NbBst")
             .field("len", &self.len_slow())
+            .field("leaf_capacity", &self.leaf_capacity)
             .finish_non_exhaustive()
     }
 }
 
 impl<K, V> Drop for NbBst<K, V> {
     fn drop(&mut self) {
-        // `&mut self`: no concurrent operations. Free (1) every node still
-        // reachable from the root, (2) every Info record still *flagged*
-        // into a reachable node (a non-Clean state means its circuit never
-        // reached the unflag/backtrack CAS that would have retired it —
-        // e.g. a "crashed" stepped operation), and (3) for stalled inserts,
-        // the speculative subtree that was never installed.
+        // `&mut self`: no concurrent operations. Free (1) every Info record
+        // still in a reachable update word (a record is retired only when
+        // a later flag displaces it, so the last record of every node, and
+        // any record of a "crashed" stepped operation, is still there),
+        // (2) for stalled leaf replacements, the replacement that was never
+        // installed, and (3) every node still reachable from the root.
         //
-        // Info pointers under a Clean state were already retired by their
-        // circuit's winner and are freed by the collector, not here.
+        // Displaced Info records were retired by their displacer and are
+        // freed by the collector, not here.
         use std::collections::HashSet;
 
-        let mut reachable: Vec<*mut Node<K, V>> = Vec::new();
-        let mut reachable_set: HashSet<*const Node<K, V>> = HashSet::new();
-        let mut flagged_infos: HashSet<*mut Info<K, V>> = HashSet::new();
-
-        // The root Box frees itself; walk its children.
-        let mut stack: Vec<*mut Node<K, V>> = Vec::new();
-        {
-            let root = &*self.root;
-            collect_node_edges(root, &mut stack, &mut flagged_infos);
-        }
-        while let Some(n) = stack.pop() {
-            if !reachable_set.insert(n as *const _) {
-                continue;
+        // SAFETY: teardown-only, single-threaded.
+        let guard = unsafe { nbbst_reclaim::unprotected() };
+        let mut reachable: HashSet<usize> = HashSet::new();
+        let mut infos: HashSet<*mut Info<K, V>> = HashSet::new();
+        let mut stalled_inserts = Vec::new();
+        let mut stack: Vec<&Internal<K, V>> = vec![&self.root];
+        while let Some(node) = stack.pop() {
+            // Relaxed: teardown holds exclusive access.
+            let u = node.update.load(AtomicOrdering::Relaxed, &guard);
+            if !u.is_null()
+                && infos.insert(u.as_raw() as *mut Info<K, V>)
+                && u.state() == State::IFlag
+            {
+                stalled_inserts.push(u);
             }
-            reachable.push(n);
-            // SAFETY: teardown; we own everything.
-            let node = unsafe { &*n };
-            if !node.is_leaf {
-                collect_node_edges(node, &mut stack, &mut flagged_infos);
-            }
-        }
-
-        // Free stalled-insert speculative subtrees (IInfo whose
-        // new_internal never made it into the tree).
-        for &info in &flagged_infos {
-            // SAFETY: flagged Info records were never retired (their state
-            // is not Clean), so we uniquely own them at teardown.
-            if let Info::Insert(iinfo) = unsafe { &*info } {
-                let ni = iinfo.new_internal;
-                if !reachable_set.contains(&(ni as *const _)) {
-                    // SAFETY: never published; the subtree is exactly the
-                    // fresh internal node and its two fresh leaves.
-                    unsafe {
-                        let guard = nbbst_reclaim::unprotected();
-                        let internal = Box::from_raw(ni as *mut Node<K, V>);
-                        // Relaxed: teardown holds exclusive access.
-                        let l = internal.left.load(AtomicOrdering::Relaxed, &guard);
-                        let r = internal.right.load(AtomicOrdering::Relaxed, &guard);
-                        // One of the children may be reachable... it cannot
-                        // be: new_internal's children are the fresh leaf and
-                        // fresh sibling, allocated by the stalled insert.
-                        drop(Box::from_raw(l.as_raw() as *mut Node<K, V>));
-                        drop(Box::from_raw(r.as_raw() as *mut Node<K, V>));
-                    }
+            for child in [&node.left, &node.right] {
+                let word = child.load(AtomicOrdering::Relaxed, &guard);
+                reachable.insert(word.as_raw() as usize);
+                // SAFETY: reachable children are live until freed below.
+                if let NodeRef::Internal(n) = unsafe { word.node() } {
+                    stack.push(n);
                 }
             }
         }
-        for info in flagged_infos {
-            // SAFETY: unique ownership as argued above.
+        for u in stalled_inserts {
+            // SAFETY: collected above and not freed yet.
+            let new = unsafe { u.deref() }.as_insert().new_word();
+            if !reachable.contains(&(new.as_raw() as usize)) {
+                // SAFETY: a replacement that was never spliced in is
+                // owned only by its (stalled) IInfo record.
+                unsafe { new.free_subtree() };
+            }
+        }
+        for info in infos {
+            // SAFETY: records still in an update word were never retired
+            // (retirement happens only on displacement), so we own them.
             unsafe { drop(Box::from_raw(info)) };
         }
-        for n in reachable {
-            // SAFETY: each reachable node collected exactly once.
-            unsafe { drop(Box::from_raw(n)) };
+        // SAFETY: every reachable node is freed exactly once; the root Box
+        // frees itself.
+        unsafe {
+            self.root
+                .left
+                .load(AtomicOrdering::Relaxed, &guard)
+                .free_subtree();
+            self.root
+                .right
+                .load(AtomicOrdering::Relaxed, &guard)
+                .free_subtree();
         }
         // The collector (dropped after this) frees everything that was
         // retired during normal operation.
-    }
-}
-
-/// Teardown helper: pushes a node's children and records its flagged Info
-/// pointer, if any.
-fn collect_node_edges<K, V>(
-    node: &Node<K, V>,
-    stack: &mut Vec<*mut Node<K, V>>,
-    flagged_infos: &mut std::collections::HashSet<*mut Info<K, V>>,
-) {
-    // SAFETY: teardown-only, single-threaded.
-    let guard = unsafe { nbbst_reclaim::unprotected() };
-    // Relaxed: teardown holds exclusive access.
-    let l = node.left.load(AtomicOrdering::Relaxed, &guard);
-    let r = node.right.load(AtomicOrdering::Relaxed, &guard);
-    if !l.is_null() {
-        stack.push(l.as_raw() as *mut Node<K, V>);
-    }
-    if !r.is_null() {
-        stack.push(r.as_raw() as *mut Node<K, V>);
-    }
-    let u = node.update.load(AtomicOrdering::Relaxed, &guard);
-    if State::from_tag(u.tag()) != State::Clean && !u.is_null() {
-        flagged_infos.insert(u.as_raw() as *mut Info<K, V>);
     }
 }

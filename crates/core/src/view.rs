@@ -19,90 +19,125 @@
 //! regression tests below, which walk a 100 000-deep path inside a
 //! deliberately tiny (128 KiB) thread stack.
 
-use crate::node::{Node, UpdateWordExt};
+use crate::node::{internal_ptr, Internal, NodePtr, NodePtrExt, NodeRef, UpdateWordExt};
 use crate::state::State;
 use crate::tree::NbBst;
-use nbbst_dictionary::SentinelKey;
+use nbbst_dictionary::{real_vs_node, SentinelKey};
 use nbbst_reclaim::Guard;
+use std::cmp::Ordering as CmpOrdering;
 use std::fmt;
+use std::iter::Zip;
 use std::ops::Bound;
+use std::slice::Iter;
 
-/// A pinned in-order cursor over the leaves of a subtree, with optional
-/// key-range pruning — the reusable explicit-stack walk behind every
+fn in_lo<K: Ord>(k: &K, lo: Bound<&K>) -> bool {
+    match lo {
+        Bound::Unbounded => true,
+        Bound::Included(b) => k >= b,
+        Bound::Excluded(b) => k > b,
+    }
+}
+
+fn in_hi<K: Ord>(k: &K, hi: Bound<&K>) -> bool {
+    match hi {
+        Bound::Unbounded => true,
+        Bound::Included(b) => k <= b,
+        Bound::Excluded(b) => k < b,
+    }
+}
+
+/// A pinned in-order cursor over the entries of the tree within
+/// `[lo, hi]`-style bounds — the reusable explicit-stack walk behind every
 /// snapshot-style view.
 ///
-/// Children are pushed right-then-left, so leaves pop in left-to-right
-/// (ascending-key) order. The descent prunes whole subtrees that the
-/// BST property places outside `[lo, hi]`; leaves from partially
-/// overlapping subtrees are still yielded, so callers applying bounds
-/// must filter leaf keys themselves (see `range_snapshot`).
+/// Children are pushed right-then-left, so leaves are reached in
+/// left-to-right (ascending-key) order, and the descent prunes whole
+/// subtrees that the BST property places outside the bounds. Entries come
+/// out strictly ascending even under concurrent updates: a Delete that
+/// splices out a parent promotes a sibling subtree the cursor may not
+/// have walked yet, and re-inserting a key it already yielded lands in
+/// that subtree. So the cursor drops every entry whose key is not above
+/// the last key it yielded.
 ///
 /// All state lives in a heap `Vec`: advancing the cursor never recurses,
 /// so arbitrarily deep (unbalanced) trees cost O(depth) heap and O(1)
 /// call stack.
 pub(crate) struct InorderCursor<'g, 'b, K, V> {
-    stack: Vec<&'g Node<K, V>>,
+    stack: Vec<NodePtr<'g, K, V>>,
+    /// The rest of the current leaf.
+    entries: Zip<Iter<'g, K>, Iter<'g, V>>,
+    last: Option<&'g K>,
     guard: &'g Guard,
     lo: Bound<&'b K>,
     hi: Bound<&'b K>,
 }
 
 impl<'g, 'b, K: Ord, V> InorderCursor<'g, 'b, K, V> {
-    /// A cursor over every leaf of the subtree under `root`.
-    pub(crate) fn new(root: &'g Node<K, V>, guard: &'g Guard) -> Self {
-        Self::with_bounds(root, guard, Bound::Unbounded, Bound::Unbounded)
-    }
-
-    /// A cursor that skips subtrees provably outside `[lo, hi]`.
-    pub(crate) fn with_bounds(
-        root: &'g Node<K, V>,
+    /// A cursor over the entries of the subtree under `root` within the
+    /// bounds.
+    pub(crate) fn new(
+        root: &'g Internal<K, V>,
         guard: &'g Guard,
         lo: Bound<&'b K>,
         hi: Bound<&'b K>,
     ) -> Self {
         InorderCursor {
-            stack: vec![root],
+            stack: vec![internal_ptr(root)],
+            entries: [].iter().zip(&[]),
+            last: None,
             guard,
             lo,
             hi,
         }
     }
 
-    /// The next leaf in ascending key order, or `None` when exhausted.
-    pub(crate) fn next_leaf(&mut self) -> Option<&'g Node<K, V>> {
-        while let Some(node) = self.stack.pop() {
-            if node.is_leaf {
-                return Some(node);
+    /// The next entry in strictly ascending key order, or `None` when
+    /// exhausted.
+    pub(crate) fn next_entry(&mut self) -> Option<(&'g K, &'g V)> {
+        loop {
+            for (k, v) in self.entries.by_ref() {
+                if self.last.is_some_and(|last| k <= last) || !in_lo(k, self.lo) {
+                    continue;
+                }
+                if !in_hi(k, self.hi) {
+                    // Everything still ahead is larger.
+                    self.stack.clear();
+                    self.entries = [].iter().zip(&[]);
+                    return None;
+                }
+                self.last = Some(k);
+                return Some((k, v));
             }
+            let word = self.stack.pop()?;
+            // SAFETY: the root, or a child word read under the pin.
+            let node = match unsafe { word.node() } {
+                NodeRef::Leaf(leaf) => {
+                    self.entries = leaf.keys().iter().zip(leaf.values());
+                    continue;
+                }
+                NodeRef::Internal(node) => node,
+            };
             // BST property: left subtree < node.key <= right subtree.
             // Prune: skip left if everything there is below `lo`; skip
             // right if node.key is already above `hi`. Sentinel routing
             // keys cannot prune (their left subtree holds all real keys).
             let visit_left = match (&node.key, self.lo) {
-                (SentinelKey::Key(nk), Bound::Included(b)) => nk > b,
-                (SentinelKey::Key(nk), Bound::Excluded(b)) => nk > b,
+                (SentinelKey::Key(nk), Bound::Included(b) | Bound::Excluded(b)) => nk > b,
                 _ => true,
             };
+            // Keys >= nk may still be < an excluded `b`.
             let visit_right = match (&node.key, self.hi) {
-                (SentinelKey::Key(nk), Bound::Included(b)) => nk <= b,
-                // Keys >= nk may still be < b.
-                (SentinelKey::Key(nk), Bound::Excluded(b)) => nk <= b,
+                (SentinelKey::Key(nk), Bound::Included(b) | Bound::Excluded(b)) => nk <= b,
                 _ => true,
             };
             // Right first so the left child pops (and yields) first.
             if visit_right {
-                // SAFETY: reachable child of a reachable internal node,
-                // under pin.
-                let r = unsafe { node.load_child(false, self.guard).deref() };
-                self.stack.push(r);
+                self.stack.push(node.load_child(false, self.guard));
             }
             if visit_left {
-                // SAFETY: reachable child under pin, as above.
-                let l = unsafe { node.load_child(true, self.guard).deref() };
-                self.stack.push(l);
+                self.stack.push(node.load_child(true, self.guard));
             }
         }
-        None
     }
 }
 
@@ -114,39 +149,23 @@ where
     /// Counts the real keys by traversing the whole tree. Exact only at
     /// quiescence.
     pub fn len_slow(&self) -> usize {
-        let guard = self.pin();
         let mut n = 0;
-        self.walk_leaves(&guard, &mut |leaf| {
-            if !leaf.key.is_sentinel() {
-                n += 1;
-            }
-        });
+        self.for_each_entry(|_, _| n += 1);
         n
     }
 
     /// In-order snapshot of the real keys. Exact only at quiescence.
     pub fn keys_snapshot(&self) -> Vec<K> {
-        let guard = self.pin();
         let mut keys = Vec::new();
-        self.walk_leaves(&guard, &mut |leaf| {
-            if let SentinelKey::Key(k) = &leaf.key {
-                keys.push(k.clone());
-            }
-        });
+        self.for_each_entry(|k, _| keys.push(k.clone()));
         keys
     }
 
     /// In-order snapshot of `(key, value)` clones. Exact only at
     /// quiescence.
     pub fn pairs_snapshot(&self) -> Vec<(K, V)> {
-        let guard = self.pin();
         let mut pairs = Vec::new();
-        self.walk_leaves(&guard, &mut |leaf| {
-            if let SentinelKey::Key(k) = &leaf.key {
-                let v = leaf.value.as_ref().expect("real leaves carry values");
-                pairs.push((k.clone(), v.clone()));
-            }
-        });
+        self.for_each_entry(|k, v| pairs.push((k.clone(), v.clone())));
         pairs
     }
 
@@ -155,31 +174,18 @@ where
     pub fn height(&self) -> usize {
         let guard = self.pin();
         let mut max = 0usize;
-        let mut stack: Vec<(&Node<K, V>, usize)> = vec![(self.root(), 0)];
-        while let Some((node, depth)) = stack.pop() {
-            if node.is_leaf {
-                max = max.max(depth);
-                continue;
+        let mut stack = vec![(internal_ptr(self.root()), 0)];
+        while let Some((word, depth)) = stack.pop() {
+            // SAFETY: the root, or a child word read under the pin.
+            match unsafe { word.node() } {
+                NodeRef::Leaf(_) => max = max.max(depth),
+                NodeRef::Internal(node) => {
+                    stack.push((node.load_child(true, &guard), depth + 1));
+                    stack.push((node.load_child(false, &guard), depth + 1));
+                }
             }
-            // SAFETY: children of a reachable internal node, under pin.
-            let (l, r) = unsafe {
-                (
-                    node.load_child(true, &guard).deref(),
-                    node.load_child(false, &guard).deref(),
-                )
-            };
-            stack.push((l, depth + 1));
-            stack.push((r, depth + 1));
         }
         max
-    }
-
-    /// In-order traversal applying `f` to every leaf. Weakly consistent.
-    pub(crate) fn walk_leaves(&self, guard: &Guard, f: &mut impl FnMut(&Node<K, V>)) {
-        let mut cursor = InorderCursor::new(self.root(), guard);
-        while let Some(leaf) = cursor.next_leaf() {
-            f(leaf);
-        }
     }
 
     /// Checks the structural invariants the paper's proof establishes, at
@@ -189,8 +195,9 @@ where
     ///    the `∞2` leaf; the `∞1` leaf present);
     /// 2. every internal node has two non-null children;
     /// 3. the BST property: left descendants `<` node key `<=` right
-    ///    descendants;
-    /// 4. leaf keys are distinct and in order;
+    ///    descendants, for routing keys and every leaf entry;
+    /// 4. every leaf holds 1 to capacity entries, sorted and unique, and
+    ///    leaf keys are distinct and in order across the tree;
     /// 5. every internal node's state is `Clean` (pass
     ///    `allow_flags = true` to skip this when deliberately-stalled
     ///    operations are present).
@@ -209,49 +216,72 @@ where
         if root.key != SentinelKey::Inf2 {
             return Err("root key is not ∞2".into());
         }
-        // SAFETY: reachable under pin.
-        let right = unsafe { root.load_child(false, &guard).deref() };
-        if !(right.is_leaf && right.key == SentinelKey::Inf2) {
+        // SAFETY: reachable under pin (null is rejected below).
+        let right = root.load_child(false, &guard);
+        if right.is_null()
+            || !matches!(unsafe { right.node() },
+                NodeRef::Leaf(l) if l.sentinel_key() == Some(SentinelKey::Inf2))
+        {
             return Err("root's right child is not the ∞2 leaf".into());
         }
+        let inside = |k: &K, lo: Option<&SentinelKey<K>>, hi: Option<&SentinelKey<K>>| {
+            lo.is_none_or(|b| real_vs_node(k, b) != CmpOrdering::Less)
+                && hi.is_none_or(|b| real_vs_node(k, b) == CmpOrdering::Less)
+        };
 
         // Explicit-stack in-order walk carrying each node's ancestor key
         // interval; frames are (node, lower bound, upper bound). Bounds
         // borrow the keys of live ancestor nodes, which the pin keeps
         // valid for the whole walk.
-        let mut sentinel_leaves = 0usize;
-        let mut real_leaves = 0usize;
-        let mut prev: Option<&SentinelKey<K>> = None;
+        let mut sentinels = Vec::new();
+        let mut prev: Option<&K> = None;
         type Frame<'g, K, V> = (
-            &'g Node<K, V>,
+            NodePtr<'g, K, V>,
             Option<&'g SentinelKey<K>>,
             Option<&'g SentinelKey<K>>,
         );
-        let mut stack: Vec<Frame<'_, K, V>> = vec![(root, None, None)];
-        while let Some((node, lo, hi)) = stack.pop() {
-            if let Some(lo) = lo {
-                if node.key < *lo {
-                    return Err("BST property violated: key below lower bound".into());
-                }
+        let mut stack: Vec<Frame<'_, K, V>> = vec![(internal_ptr(root), None, None)];
+        while let Some((word, lo, hi)) = stack.pop() {
+            if word.is_null() {
+                return Err("internal node with a null child".into());
             }
-            if let Some(hi) = hi {
-                if node.key >= *hi {
-                    return Err("BST property violated: key not below upper bound".into());
-                }
-            }
-            if node.is_leaf {
-                if node.key.is_sentinel() {
-                    sentinel_leaves += 1;
-                } else {
-                    real_leaves += 1;
-                }
-                if let Some(p) = prev {
-                    if *p >= node.key {
-                        return Err("leaf keys not strictly increasing".into());
+            // SAFETY: reachable under pin.
+            let node = match unsafe { word.node() } {
+                NodeRef::Internal(node) => node,
+                NodeRef::Leaf(leaf) => {
+                    if leaf.len() == 0 || leaf.len() > self.leaf_capacity() {
+                        return Err(format!(
+                            "leaf with {} entries (capacity {})",
+                            leaf.len(),
+                            self.leaf_capacity()
+                        ));
                     }
+                    if let Some(s) = leaf.sentinel_key() {
+                        if lo.is_some_and(|b| s < *b) || hi.is_some_and(|b| s >= *b) {
+                            return Err("sentinel leaf outside its routing interval".into());
+                        }
+                        sentinels.push(s);
+                    }
+                    for k in leaf.keys() {
+                        if !inside(k, lo, hi) {
+                            return Err(
+                                "BST property violated: leaf key outside its routing interval"
+                                    .into(),
+                            );
+                        }
+                        if prev.is_some_and(|p| p >= k) {
+                            return Err("leaf keys not strictly increasing".into());
+                        }
+                        prev = Some(k);
+                    }
+                    continue;
                 }
-                prev = Some(&node.key);
-                continue;
+            };
+            if lo.is_some_and(|b| node.key < *b) {
+                return Err("BST property violated: key below lower bound".into());
+            }
+            if hi.is_some_and(|b| node.key >= *b) {
+                return Err("BST property violated: key not below upper bound".into());
             }
             if !allow_flags {
                 let state = node.load_update(&guard).state();
@@ -259,29 +289,22 @@ where
                     return Err(format!("internal node not Clean at quiescence: {state}"));
                 }
             }
-            let l = node.load_child(true, &guard);
-            let r = node.load_child(false, &guard);
-            if l.is_null() || r.is_null() {
-                return Err("internal node with a null child".into());
-            }
-            // SAFETY: reachable under pin.
-            let (l, r) = unsafe { (l.deref(), r.deref()) };
             // Right first so the left subtree is fully visited first
             // (in-order, for the `prev` strictly-increasing check).
-            stack.push((r, Some(&node.key), hi));
-            stack.push((l, lo, Some(&node.key)));
+            stack.push((node.load_child(false, &guard), Some(&node.key), hi));
+            stack.push((node.load_child(true, &guard), lo, Some(&node.key)));
         }
-        let _ = real_leaves;
-        if sentinel_leaves != 2 {
+        if sentinels != [SentinelKey::Inf1, SentinelKey::Inf2] {
             return Err(format!(
-                "expected exactly 2 sentinel leaves, found {sentinel_leaves}"
+                "expected the ∞1 and ∞2 sentinel leaves once each, found {} sentinels",
+                sentinels.len()
             ));
         }
         Ok(())
     }
 
     /// Renders the tree as indented ASCII in the style of the paper's
-    /// figures: internal nodes `(key state)`, leaves `[key]`.
+    /// figures: internal nodes `(key state)`, leaves `[key key ...]`.
     ///
     /// Used by the figure-regeneration binaries (F1/F2/F5/F6). The output
     /// itself is O(depth) characters *per line*, so rendering a degenerate
@@ -295,8 +318,8 @@ where
         let mut out = String::new();
         // Frames: (node, prefix, is-last-child). Right is pushed first so
         // the left sibling prints first, exactly like the old recursion.
-        let mut stack: Vec<(&Node<K, V>, String, bool)> = vec![(self.root(), String::new(), true)];
-        while let Some((node, prefix, last)) = stack.pop() {
+        let mut stack = vec![(internal_ptr(self.root()), String::new(), true)];
+        while let Some((word, prefix, last)) = stack.pop() {
             let branch = if prefix.is_empty() {
                 ""
             } else if last {
@@ -304,10 +327,18 @@ where
             } else {
                 "├── "
             };
-            if node.is_leaf {
-                out.push_str(&format!("{prefix}{branch}[{}]\n", node.key));
-                continue;
-            }
+            // SAFETY: the root, or a child word read under the pin.
+            let node = match unsafe { word.node() } {
+                NodeRef::Leaf(leaf) => {
+                    let keys: Vec<String> = match leaf.sentinel_key() {
+                        Some(s) => vec![s.to_string()],
+                        None => leaf.keys().iter().map(ToString::to_string).collect(),
+                    };
+                    out.push_str(&format!("{prefix}{branch}[{}]\n", keys.join(" ")));
+                    continue;
+                }
+                NodeRef::Internal(node) => node,
+            };
             let state = node.load_update(&guard).state();
             if state == State::Clean {
                 out.push_str(&format!("{prefix}{branch}({})\n", node.key));
@@ -319,15 +350,8 @@ where
             } else {
                 format!("{prefix}{}", if last { "    " } else { "│   " })
             };
-            // SAFETY: reachable children under pin.
-            let (l, r) = unsafe {
-                (
-                    node.load_child(true, &guard).deref(),
-                    node.load_child(false, &guard).deref(),
-                )
-            };
-            stack.push((r, child_prefix.clone(), true));
-            stack.push((l, child_prefix, false));
+            stack.push((node.load_child(false, &guard), child_prefix.clone(), true));
+            stack.push((node.load_child(true, &guard), child_prefix, false));
         }
         out
     }
@@ -336,28 +360,31 @@ where
     /// (first match on the search path), for schedule tests and figures.
     pub fn state_of_internal(&self, key: &K) -> Option<State> {
         let guard = self.pin();
-        let mut cur = self.root();
+        let mut word = internal_ptr(self.root());
         loop {
-            if cur.is_leaf {
+            // SAFETY: the root, or a child word read under the pin.
+            let NodeRef::Internal(node) = (unsafe { word.node() }) else {
                 return None;
+            };
+            if node.key.as_key() == Some(key) {
+                return Some(node.load_update(&guard).state());
             }
-            if cur.key.as_key() == Some(key) {
-                return Some(cur.load_update(&guard).state());
-            }
-            let go_left = nbbst_dictionary::real_vs_node(key, &cur.key) == std::cmp::Ordering::Less;
-            // SAFETY: reachable child under pin.
-            cur = unsafe { cur.load_child(go_left, &guard).deref() };
+            word = node.load_child(real_vs_node(key, &node.key) == CmpOrdering::Less, &guard);
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::InorderCursor;
+    use crate::node::{Internal, Leaf, NodePtr};
     use crate::{NbBst, State};
+    use nbbst_dictionary::SentinelKey;
     use std::ops::Bound;
 
+    /// The paper's tree (one key per leaf) holding `keys`.
     fn tree(keys: &[u64]) -> NbBst<u64, u64> {
-        let t = NbBst::new();
+        let t = NbBst::new().one_key_leaves();
         for &k in keys {
             t.insert_entry(k, k * 2).unwrap();
         }
@@ -439,7 +466,7 @@ mod tests {
         // build is cheap.
         for n in [1u64, 2, 3, 7, 64] {
             let direct = NbBst::degenerate_ascending(n);
-            let real: NbBst<u64, u64> = NbBst::new();
+            let real: NbBst<u64, u64> = NbBst::new().one_key_leaves();
             for k in 0..n {
                 real.insert_entry(k, k).unwrap();
             }
@@ -496,5 +523,82 @@ mod tests {
             // n real leaves + 2 sentinel leaves + (n + 1) internal nodes.
             assert_eq!(r.lines().count(), 2 * 2_000 + 3);
         });
+    }
+
+    #[test]
+    fn cursor_never_repeats_a_key_deleted_and_reinserted_behind_it() {
+        // (∞1) -> (20) { [10], (30) { [20], [30] } }: visiting (20) pushes
+        // the internal node (30) before [10] is yielded. Deleting 10
+        // splices (20) out and promotes (30); re-inserting 10 lands under
+        // (30), which the cursor has yet to walk, so without the "not above
+        // the last key" filter 10 came out twice.
+        let t = tree(&[20, 10, 30]);
+        let guard = t.pin();
+        let mut cursor = InorderCursor::new(t.root(), &guard, Bound::Unbounded, Bound::Unbounded);
+        assert_eq!(cursor.next_entry().map(|(k, _)| *k), Some(10));
+        assert!(t.remove_key(&10));
+        t.insert_entry(10, 0).unwrap();
+        let rest: Vec<u64> = std::iter::from_fn(|| cursor.next_entry().map(|(k, _)| *k)).collect();
+        assert_eq!(rest, vec![20, 30]);
+    }
+
+    #[test]
+    fn fat_leaves_render_and_count_all_their_entries() {
+        let t: NbBst<u64, u64> = NbBst::new();
+        for k in [10, 20, 30] {
+            t.insert_entry(k, k).unwrap();
+        }
+        let r = t.render();
+        assert!(r.contains("[10 20 30]"), "{r}");
+        assert!(r.contains("[∞1]"), "{r}");
+        assert_eq!(t.height(), 2, "one split under ∞1, then copies");
+        assert_eq!(t.len_slow(), 3);
+        t.check_invariants().unwrap();
+    }
+
+    /// A tree whose `∞1` subtree is `under_inf1` (a handcrafted tree for
+    /// invariant-checker tests).
+    fn handmade(under_inf1: NodePtr<'static, u64, u64>) -> NbBst<u64, u64> {
+        let inf1 = Leaf::sentinel(&SentinelKey::Inf1).into_ptr();
+        NbBst::from_root_left(
+            Internal::new(SentinelKey::Inf1, under_inf1, inf1).into_ptr(),
+            4,
+        )
+    }
+
+    fn leaf(keys: &[u64]) -> NodePtr<'static, u64, u64> {
+        Leaf::with_entries(keys.iter().map(|&k| (k, k))).into_ptr()
+    }
+
+    #[test]
+    fn invariant_checker_accepts_a_well_formed_fat_tree() {
+        let n = Internal::new(SentinelKey::Key(5), leaf(&[1, 3]), leaf(&[5, 8, 9]));
+        let t = handmade(n.into_ptr());
+        t.check_invariants().unwrap();
+        assert_eq!(t.keys_snapshot(), vec![1, 3, 5, 8, 9]);
+    }
+
+    #[test]
+    fn invariant_checker_rejects_unsorted_leaves() {
+        let err = handmade(leaf(&[3, 1])).check_invariants().unwrap_err();
+        assert!(err.contains("strictly increasing"), "{err}");
+        let err = handmade(leaf(&[3, 3])).check_invariants().unwrap_err();
+        assert!(err.contains("strictly increasing"), "{err}");
+    }
+
+    #[test]
+    fn invariant_checker_rejects_keys_outside_their_routing_interval() {
+        let n = Internal::new(SentinelKey::Key(5), leaf(&[1, 6]), leaf(&[7]));
+        let t = handmade(n.into_ptr());
+        let err = t.check_invariants().unwrap_err();
+        assert!(err.contains("routing interval"), "{err}");
+    }
+
+    #[test]
+    fn invariant_checker_rejects_leaves_over_capacity() {
+        let err = handmade(leaf(&[1, 2, 3, 4, 5]))
+            .check_invariants()
+            .unwrap_err();
+        assert!(err.contains("capacity 4"), "{err}");
     }
 }

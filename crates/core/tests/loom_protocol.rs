@@ -69,7 +69,7 @@ fn insert_insert_same_leaf() {
     loom::model(|| {
         let live = Arc::new(AtomicIsize::new(0));
         {
-            let tree = Arc::new(NbBst::<u64, Token>::with_stats());
+            let tree = Arc::new(NbBst::<u64, Token>::with_stats().one_key_leaves());
             let handles: Vec<_> = [1u64, 2]
                 .into_iter()
                 .map(|k| {
@@ -107,7 +107,7 @@ fn delete_insert_adjacent() {
     loom::model(|| {
         let live = Arc::new(AtomicIsize::new(0));
         {
-            let tree = Arc::new(NbBst::<u64, Token>::with_stats());
+            let tree = Arc::new(NbBst::<u64, Token>::with_stats().one_key_leaves());
             tree.insert_entry(1, Token::new(&live)).unwrap();
             tree.insert_entry(2, Token::new(&live)).unwrap();
 
@@ -156,7 +156,7 @@ fn mark_fails_then_backtracks() {
     loom::model(move || {
         let live = Arc::new(AtomicIsize::new(0));
         {
-            let tree = Arc::new(NbBst::<u64, Token>::with_stats());
+            let tree = Arc::new(NbBst::<u64, Token>::with_stats().one_key_leaves());
             tree.insert_entry(1, Token::new(&live)).unwrap();
 
             let deleter = {
@@ -207,7 +207,7 @@ fn helper_completes_crashed_delete() {
     loom::model(|| {
         let live = Arc::new(AtomicIsize::new(0));
         {
-            let tree = Arc::new(NbBst::<u64, Token>::with_stats());
+            let tree = Arc::new(NbBst::<u64, Token>::with_stats().one_key_leaves());
             tree.insert_entry(1, Token::new(&live)).unwrap();
 
             {
@@ -259,7 +259,7 @@ fn delete_delete_sibling_leaves() {
     loom::model(|| {
         let live = Arc::new(AtomicIsize::new(0));
         {
-            let tree = Arc::new(NbBst::<u64, Token>::with_stats());
+            let tree = Arc::new(NbBst::<u64, Token>::with_stats().one_key_leaves());
             tree.insert_entry(1, Token::new(&live)).unwrap();
             tree.insert_entry(2, Token::new(&live)).unwrap();
 
@@ -305,7 +305,7 @@ fn three_threads_insert_delete_helper() {
     loom::model(|| {
         let live = Arc::new(AtomicIsize::new(0));
         {
-            let tree = Arc::new(NbBst::<u64, Token>::with_stats());
+            let tree = Arc::new(NbBst::<u64, Token>::with_stats().one_key_leaves());
             tree.insert_entry(1, Token::new(&live)).unwrap();
             tree.insert_entry(2, Token::new(&live)).unwrap();
 
@@ -519,4 +519,81 @@ fn concurrent_steals_free_exactly_once() {
             "a bag was lost or freed twice by racing stealers"
         );
     });
+}
+
+/// Runs `a` and `b` on two loom threads over a default (multi-entry
+/// leaf) tree prefilled with `keys`, then checks the final keys, the
+/// strict Figure 4 identities and the drop balance.
+fn fat_leaf_race(
+    keys: &[u64],
+    a: fn(&NbBst<u64, Token>, &Arc<AtomicIsize>),
+    b: fn(&NbBst<u64, Token>, &Arc<AtomicIsize>),
+    expect: &[u64],
+) {
+    let keys = keys.to_vec();
+    let expect = expect.to_vec();
+    loom::model(move || {
+        let live = Arc::new(AtomicIsize::new(0));
+        {
+            let tree = Arc::new(NbBst::<u64, Token>::with_stats());
+            for &k in &keys {
+                tree.insert_entry(k, Token::new(&live)).unwrap();
+            }
+            let handles: Vec<_> = [a, b]
+                .into_iter()
+                .map(|op| {
+                    let tree = Arc::clone(&tree);
+                    let live = Arc::clone(&live);
+                    loom::thread::spawn(move || op(&tree, &live))
+                })
+                .collect();
+            for h in handles {
+                h.join().unwrap();
+            }
+            assert_eq!(tree.keys_snapshot(), expect);
+            tree.check_invariants().unwrap();
+            let stats = tree.stats().expect("stats enabled");
+            stats.check_figure4().expect("Figure 4 identities");
+            assert_eq!(stats.deletes_by_copy, 1, "{stats:?}");
+        }
+        assert_eq!(
+            live.load(Ordering::Relaxed),
+            0,
+            "value leak or double-free after teardown"
+        );
+    });
+}
+
+/// Scenario 9 — **two copies of one leaf**: on the default tree keys 1
+/// and 3 share a leaf; inserting 2 and deleting 3 each build a copy of it
+/// and race to flag its parent. One iflag wins, the loser helps, rebuilds
+/// its copy from the winner's leaf and retries, so neither edit is lost.
+#[test]
+fn insert_vs_delete_copy_same_leaf() {
+    fat_leaf_race(
+        &[1, 3],
+        |t, live| t.insert_entry(2, Token::new(live)).unwrap(),
+        |t, _| assert!(t.remove_key(&3)),
+        &[1, 2],
+    );
+}
+
+/// Scenario 10 — **a split racing a copy**: a full leaf (capacity keys)
+/// receives an insert that splits it into an internal node over two half
+/// leaves while a delete replaces the same leaf by a smaller copy. If the
+/// delete wins, the insert finds room and copies instead of splitting.
+#[test]
+fn split_vs_delete_copy_same_leaf() {
+    let cap = NbBst::<u64, u64>::new().leaf_capacity() as u64;
+    let keys: Vec<u64> = (0..cap).collect();
+    let expect: Vec<u64> = (1..=cap).collect();
+    fat_leaf_race(
+        &keys,
+        |t, live| {
+            let cap = t.leaf_capacity() as u64;
+            t.insert_entry(cap, Token::new(live)).unwrap();
+        },
+        |t, _| assert!(t.remove_key(&0)),
+        &expect,
+    );
 }

@@ -10,7 +10,10 @@
 //!   the **same** `DInfo` record — teardown must free it once, not twice;
 //! * a stalled insert whose `ichild` succeeded but whose `iunflag` did not
 //!   — the new subtree is reachable, so teardown must free only the
-//!   `IInfo`, not the subtree again.
+//!   `IInfo`, not the subtree again;
+//! * on the default tree, stalled leaf replacements: a leaf copy or a
+//!   split subtree that was flagged but never spliced in belongs to its
+//!   `IInfo` alone, and one that was spliced in belongs to the tree.
 //!
 //! Each test drops the tree (and with it the epoch collector) and then
 //! checks a clones-minus-drops balance on the values: a leak leaves the
@@ -52,8 +55,19 @@ impl Drop for Token {
     }
 }
 
+/// The paper's tree (one key per leaf), whose stalled shapes these tests
+/// pin.
 fn tree_with_keys(keys: &[u64], live: &Arc<AtomicIsize>) -> NbBst<u64, Token> {
-    let tree = NbBst::with_stats();
+    fill(NbBst::with_stats().one_key_leaves(), keys, live)
+}
+
+/// The default tree: leaves hold many entries, and updates replace them
+/// by copies.
+fn fat_tree_with_keys(keys: &[u64], live: &Arc<AtomicIsize>) -> NbBst<u64, Token> {
+    fill(NbBst::with_stats(), keys, live)
+}
+
+fn fill(tree: NbBst<u64, Token>, keys: &[u64], live: &Arc<AtomicIsize>) -> NbBst<u64, Token> {
     for &k in keys {
         tree.insert_entry(k, Token::new(live))
             .unwrap_or_else(|_| panic!("duplicate key {k} in fixture"));
@@ -196,5 +210,49 @@ fn drop_handles_both_stalled_shapes_in_one_tree() {
         live.load(Ordering::Relaxed),
         0,
         "leak or double-free tearing down mixed stalled operations"
+    );
+}
+
+/// Leaf replacements stalled on the default tree: a copy-delete parked
+/// after its iflag (replacement unspliced), an insert that fills a leaf
+/// parked after its ichild (replacement spliced), and an insert that
+/// splits a full leaf parked after its iflag (split subtree unspliced).
+#[test]
+fn drop_frees_stalled_leaf_replacements_once() {
+    let live = Arc::new(AtomicIsize::new(0));
+    {
+        let tree = fat_tree_with_keys(&[10, 20, 30], &live);
+        let mut del = RawDelete::new(&tree, 20);
+        assert!(del.search().is_ready());
+        assert!(del.flag(), "quiet tree: iflag must win");
+        del.abandon();
+        tree.check_invariants_allowing(true).unwrap();
+    }
+    {
+        let tree = fat_tree_with_keys(&[10, 20, 30], &live);
+        let mut ins = RawInsert::new(&tree, 25, Token::new(&live));
+        assert!(ins.search().is_ready());
+        assert!(ins.flag());
+        assert!(ins.execute_child());
+        ins.abandon();
+        assert!(tree.contains_key(&25), "the copy was installed");
+    }
+    {
+        // Fill the first leaf to capacity, then park the splitting insert.
+        let tree = fat_tree_with_keys(&[], &live);
+        for k in 0..tree.leaf_capacity() as u64 {
+            tree.insert_entry(k, Token::new(&live)).ok();
+        }
+        assert_eq!(tree.height(), 2, "one full leaf under ∞1");
+        let mut ins = RawInsert::new(&tree, 1_000, Token::new(&live));
+        assert!(ins.search().is_ready());
+        assert!(ins.flag());
+        ins.abandon();
+        tree.check_invariants_allowing(true).unwrap();
+    }
+    assert_eq!(
+        live.load(Ordering::Relaxed),
+        0,
+        "leak or double-free tearing down stalled leaf replacements"
     );
 }

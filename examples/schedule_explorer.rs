@@ -14,7 +14,7 @@ fn show(title: &str, tree: &NbBst<u64, u64>) {
 }
 
 fn main() {
-    let tree: NbBst<u64, u64> = NbBst::new();
+    let tree: NbBst<u64, u64> = NbBst::new().one_key_leaves();
     for k in [10u64, 30, 50] {
         tree.insert_entry(k, k).unwrap();
     }

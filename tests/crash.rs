@@ -6,7 +6,7 @@ use nbbst::{ConcurrentMap, NbBst};
 
 /// Builds a tree with keys 0..n.
 fn tree_with_range(n: u64) -> NbBst<u64, u64> {
-    let t = NbBst::with_stats();
+    let t = NbBst::with_stats().one_key_leaves();
     for k in 0..n {
         t.insert(k, k);
     }
@@ -111,7 +111,7 @@ fn many_simultaneous_crashes_do_not_block_progress() {
     // Keys 0,10,20,...,310 spread the leaves; planting inserts at
     // 5,15,25,... flags a DIFFERENT parent each time (crashing an insert
     // whose parent is already flagged would just be skipped).
-    let t = NbBst::with_stats();
+    let t = NbBst::with_stats().one_key_leaves();
     for k in (0..32u64).map(|i| i * 10) {
         t.insert(k, k);
     }
@@ -174,4 +174,40 @@ fn blocked_updates_complete_the_blocking_operation_first() {
     assert!(t.contains_key(&10), "the crashed insert was completed");
     assert!(t.contains_key(&11));
     t.check_invariants().unwrap();
+}
+
+#[test]
+fn leaf_replacement_parked_after_iflag_is_completed_by_a_helper() {
+    // On the default tree keys 0..8 share one leaf, so an insert and a
+    // delete of those keys each replace that leaf by a copy through the
+    // insertion circuit. Park one of each right after its iflag; any later
+    // update of the leaf must first finish the parked one.
+    for park_delete in [false, true] {
+        let t = NbBst::with_stats();
+        for k in 0..8u64 {
+            t.insert(k, k);
+        }
+        assert_eq!(t.height(), 2, "one leaf holds all eight keys");
+        if park_delete {
+            let mut del = RawDelete::new(&t, 3);
+            assert_eq!(del.search(), DeleteSearch::Ready);
+            assert!(del.flag());
+            del.abandon();
+        } else {
+            let mut ins = RawInsert::new(&t, 100, 100);
+            assert!(ins.search().is_ready());
+            assert!(ins.flag());
+            ins.abandon();
+        }
+        let before = t.stats().unwrap();
+        assert!(t.insert(50, 50), "the survivor's own update completes");
+        let after = t.stats().unwrap();
+        assert!(after.helps > before.helps, "the survivor helped");
+        assert_eq!(t.contains_key(&3), !park_delete);
+        assert_eq!(t.contains_key(&100), !park_delete);
+        assert!(t.contains_key(&50));
+        t.check_invariants().unwrap();
+        // The parked operation was counted at its flag CAS.
+        after.check_figure4().unwrap();
+    }
 }

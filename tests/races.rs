@@ -20,7 +20,7 @@ fn naive_with_figure3_keys() -> NaiveBst<u64, u64> {
 }
 
 fn efrb_with_figure3_keys() -> NbBst<u64, u64> {
-    let t = NbBst::with_stats();
+    let t = NbBst::with_stats().one_key_leaves();
     for k in [A, C, E, H] {
         t.insert_entry(k, k).unwrap();
     }

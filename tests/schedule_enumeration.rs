@@ -168,7 +168,7 @@ fn sequential_outcomes(initial: &[u64], a: Op, b: Op) -> Vec<BTreeSet<u64>> {
 /// Runs one schedule (bit `i` of `schedule` picks which op moves at step
 /// `i`) and validates the outcome. Returns the number of steps consumed.
 fn run_schedule(initial: &[u64], a: Op, b: Op, schedule: u64) -> u32 {
-    let tree: NbBst<u64, u64> = NbBst::with_stats();
+    let tree: NbBst<u64, u64> = NbBst::with_stats().one_key_leaves();
     for &k in initial {
         tree.insert_entry(k, k).unwrap();
     }

@@ -18,7 +18,7 @@ fn shapes_match(tree: &NbBst<u64, u64>, model: &LeafBst<u64, u64>) {
 
 #[test]
 fn figure1_insert_shape() {
-    let tree: NbBst<u64, u64> = NbBst::new();
+    let tree: NbBst<u64, u64> = NbBst::new().one_key_leaves();
     let mut model: LeafBst<u64, u64> = LeafBst::new();
 
     // B=20, D=40 exist; Insert(C=30) replaces leaf D with (40){[30],[40]}.
@@ -42,7 +42,7 @@ fn figure1_insert_shape() {
 
 #[test]
 fn figure2_delete_shape() {
-    let tree: NbBst<u64, u64> = NbBst::new();
+    let tree: NbBst<u64, u64> = NbBst::new().one_key_leaves();
     let mut model: LeafBst<u64, u64> = LeafBst::new();
     for k in [20u64, 40, 30] {
         tree.insert_entry(k, k).unwrap();
@@ -59,7 +59,7 @@ fn figure2_delete_shape() {
 
 #[test]
 fn empty_tree_is_figure_6a() {
-    let tree: NbBst<u64, u64> = NbBst::new();
+    let tree: NbBst<u64, u64> = NbBst::new().one_key_leaves();
     let model: LeafBst<u64, u64> = LeafBst::new();
     shapes_match(&tree, &model);
 }
@@ -74,7 +74,7 @@ proptest! {
         hi in 0u64..64,
     ) {
         use std::ops::Bound;
-        let tree: NbBst<u64, u64> = NbBst::new();
+        let tree: NbBst<u64, u64> = NbBst::new().one_key_leaves();
         let mut model: LeafBst<u64, u64> = LeafBst::new();
         for (op, k) in ops {
             if op == 0 {
@@ -104,7 +104,7 @@ proptest! {
     fn shapes_match_for_arbitrary_histories(
         ops in proptest::collection::vec((0u8..3, 0u64..48), 0..250)
     ) {
-        let tree: NbBst<u64, u64> = NbBst::new();
+        let tree: NbBst<u64, u64> = NbBst::new().one_key_leaves();
         let mut model: LeafBst<u64, u64> = LeafBst::new();
         for (op, k) in ops {
             match op {
@@ -128,7 +128,7 @@ proptest! {
     fn values_match_for_arbitrary_histories(
         ops in proptest::collection::vec((0u8..2, 0u64..32, 0u64..1000), 0..150)
     ) {
-        let tree: NbBst<u64, u64> = NbBst::new();
+        let tree: NbBst<u64, u64> = NbBst::new().one_key_leaves();
         let mut model: LeafBst<u64, u64> = LeafBst::new();
         for (op, k, v) in ops {
             match op {

@@ -6,7 +6,7 @@ use nbbst::NbBst;
 
 #[test]
 fn section6_schedule_starves_find_indefinitely() {
-    let tree: NbBst<u64, u64> = NbBst::new();
+    let tree: NbBst<u64, u64> = NbBst::new().one_key_leaves();
     for k in [1u64, 2, 3] {
         tree.insert_entry(k, k).unwrap();
     }
@@ -44,7 +44,7 @@ fn section6_schedule_starves_find_indefinitely() {
 
 #[test]
 fn find_completes_in_logarithmic_steps_without_adversary() {
-    let tree: NbBst<u64, u64> = NbBst::new();
+    let tree: NbBst<u64, u64> = NbBst::new().one_key_leaves();
     // Pseudo-random insertion order (389 is coprime to 1024): random
     // fills give the logarithmic expected depth of Section 6's citation
     // [19]; a sorted fill would degenerate to a 1024-deep spine.
