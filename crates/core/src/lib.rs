@@ -40,7 +40,8 @@
 //!   reproducing the paper's Figure 4 state machine.
 //! * [`raw`] — stepped, one-CAS-at-a-time operation drivers for
 //!   deterministic schedules (crash injection, the paper's Figure 5
-//!   snapshot, the Section 6 starvation schedule).
+//!   snapshot, the Section 6 starvation schedule). They step the same
+//!   machine the public operations run.
 //!
 //! ## Memory management
 //!

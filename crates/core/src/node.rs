@@ -347,12 +347,30 @@ impl<K: Ord, V> Leaf<K, V> {
     }
 }
 
-/// An update applied to a leaf by [`Leaf::replacement`].
+/// What an update does: the input of the update step machine
+/// (`tree::Update`) and of [`Leaf::replacement`].
 pub(crate) enum Edit<'a, K, V> {
     /// Add an absent key.
     Insert(&'a K, &'a V),
-    /// Drop a present key from a leaf holding at least two entries.
+    /// Drop a present key.
     Remove(&'a K),
+}
+
+impl<K, V> Clone for Edit<'_, K, V> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<K, V> Copy for Edit<'_, K, V> {}
+
+impl<'a, K, V> Edit<'a, K, V> {
+    /// The key the update is for.
+    pub(crate) fn key(&self) -> &'a K {
+        match *self {
+            Edit::Insert(key, _) | Edit::Remove(key) => key,
+        }
+    }
 }
 
 impl<K: Ord + Clone, V: Clone> Leaf<K, V> {
@@ -363,8 +381,8 @@ impl<K: Ord + Clone, V: Clone> Leaf<K, V> {
     /// keyed by the right half's first key: Figure 1, generalised. At
     /// capacity 1 that is exactly Figure 1.
     ///
-    /// The one builder behind both `NbBst`'s updates and the stepped
-    /// drivers in [`crate::raw`].
+    /// Called from the update machine's flag step (`tree::Update`), which
+    /// the public operations and the stepped drivers share.
     pub(crate) fn replacement<'g>(
         &self,
         edit: Edit<'_, K, V>,
@@ -533,6 +551,14 @@ impl<K, V> IInfo<K, V> {
         // SAFETY: `new` was produced by `into_data` of a child word.
         unsafe { Shared::from_data(self.new) }
     }
+
+    /// The flagged parent.
+    pub(crate) fn parent(&self) -> &Internal<K, V> {
+        // SAFETY: a reader reached this record through `p`'s flagged word
+        // under its guard; `p` cannot be unlinked while flagged, so it is
+        // retired, if ever, after that read and outlives the guard.
+        unsafe { &*self.p }
+    }
 }
 
 /// What a deletion's helpers need (Figure 7 lines 17–19): the grandparent
@@ -569,6 +595,15 @@ impl<K, V> DInfo<K, V> {
     /// The deleted leaf's child word.
     pub(crate) fn leaf_word<'g>(&self) -> NodePtr<'g, K, V> {
         leaf_ptr(self.l)
+    }
+
+    /// The flagged grandparent and the parent to mark.
+    pub(crate) fn nodes(&self) -> (&Internal<K, V>, &Internal<K, V>) {
+        // SAFETY: a reader reached this record through `gp`'s flagged word
+        // or `p`'s marked word under its guard; `gp` is unlinked only
+        // after being unflagged and `p` only after being marked, both
+        // after that read, so both outlive the guard.
+        unsafe { (&*self.gp, &*self.p) }
     }
 }
 

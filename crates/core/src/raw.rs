@@ -1,5 +1,5 @@
-//! Stepped operation drivers: run `Insert`/`Delete`/`Find` **one CAS step
-//! at a time**, under test control.
+//! Stepped operation drivers: run `Insert`/`Delete`/`Find` **one step at
+//! a time**, under test control.
 //!
 //! The paper's proof reasons about interleavings of individual CAS steps
 //! (`iflag`, `ichild`, `iunflag`, `dflag`, `mark`, `dchild`, `dunflag`,
@@ -16,6 +16,15 @@
 //! * **Section 6's adversarial schedule (T7)** — a `Find` forever chased
 //!   down a growing-and-shrinking path.
 //!
+//! The update drivers own no protocol code. [`Stepper`], [`RawInsert`] and
+//! [`RawDelete`] hold one instance of the step machine behind
+//! `NbBst::insert_entry` and `NbBst::remove_key`, and each call takes one
+//! of its steps: a Search, one CAS, or one help pass over the word that
+//! blocked the last flag, mark or Search. So every stepped schedule runs
+//! the shipped CAS code, orderings, helping and Figure-4 counters.
+//! [`RawInsert`] and [`RawDelete`] name the step the caller expects and
+//! panic if the machine would take another.
+//!
 //! The paper's scenarios need the paper's tree (one key per leaf; see
 //! `NbBst::one_key_leaves`). On a tree with multi-entry leaves a Delete
 //! whose leaf keeps other entries replaces the leaf through the insertion
@@ -25,9 +34,6 @@
 //! Each driver holds its own epoch [`Guard`] for its whole lifetime, so
 //! every pointer it caches stays valid however long the test pauses it —
 //! this mimics a stalled thread, which in EBR likewise blocks reclamation.
-//!
-//! The step methods update the same [stats](crate::TreeStats) counters as
-//! the normal paths, so Figure-4 identities keep holding in stepped tests.
 //!
 //! # Examples
 //!
@@ -50,15 +56,11 @@
 //! tree.check_invariants().unwrap();
 //! ```
 
-use crate::node::{
-    internal_ptr, DInfo, Edit, IInfo, Info, Internal, Leaf, NodePtr, NodePtrExt, NodeRef,
-    UpdateRef, UpdateWordExt,
-};
+use crate::node::{internal_ptr, Edit, NodePtr, NodePtrExt, NodeRef, UpdateWordExt};
 use crate::state::State;
-use crate::tree::NbBst;
-use nbbst_reclaim::{Guard, Owned, Shared};
+use crate::tree::{NbBst, Step, Update};
+use nbbst_reclaim::Guard;
 use std::fmt;
-use std::sync::atomic::Ordering;
 
 /// Result of a stepped insert's `Search` phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,139 +106,167 @@ pub enum MarkOutcome {
     /// marked the parent, or the delete replaces its leaf and has no mark
     /// step): the deletion can no longer fail.
     Marked,
-    /// The mark CAS failed; the paper's `HelpDelete` would help the blocker
-    /// and perform a backtrack CAS.
+    /// The mark CAS failed; the next steps help the blocker and backtrack
+    /// (see [`RawDelete::backtrack`]).
     Failed,
 }
 
-/// The stepped leaf-replacement circuit (`iflag → ichild → iunflag`) of
-/// one attempt, shared by [`RawInsert`] and the copy-deletes of
-/// [`RawDelete`]: the parent and leaf its search found, and, once flagged,
-/// its IInfo record.
-struct Circuit<K, V> {
-    p: *const Internal<K, V>,
-    leaf: *const Leaf<K, V>,
-    pupdate_bits: usize,
-    /// Published Info record (null until the flag CAS succeeds).
-    op: *const Info<K, V>,
-}
-
-impl<K, V> Circuit<K, V> {
-    fn new() -> Circuit<K, V> {
-        Circuit {
-            p: std::ptr::null(),
-            leaf: std::ptr::null(),
-            pupdate_bits: 0,
-            op: std::ptr::null(),
-        }
-    }
-
-    /// The parent's update word as the search read it.
-    fn pupdate<'g>(&self) -> UpdateRef<'g, K, V> {
-        // SAFETY: read by the owning driver's search under its still-held
-        // guard, so any Info record it tags is protected.
-        unsafe { Shared::from_data(self.pupdate_bits) }
-    }
-
-    /// The published Info record's word.
-    fn op_word<'g>(&self) -> UpdateRef<'g, K, V> {
-        // SAFETY: published by this driver's flag CAS; the record and the
-        // nodes it names are protected by the driver's guard.
-        unsafe { Shared::from_data(self.op as usize) }
-    }
-}
-
-impl<K: Ord + Clone, V: Clone> Circuit<K, V> {
-    /// Records what `search` found for this attempt.
-    fn searched(&mut self, p: &Internal<K, V>, leaf: &Leaf<K, V>, pupdate: UpdateRef<'_, K, V>) {
-        self.p = p;
-        self.leaf = leaf;
-        self.pupdate_bits = pupdate.into_data();
-    }
-
-    /// The **iflag** CAS (line 56), publishing an IInfo whose replacement
-    /// comes from the same builder as the real operations.
-    fn flag(&mut self, tree: &NbBst<K, V>, guard: &Guard, edit: Edit<'_, K, V>) -> bool {
-        // SAFETY: the leaf and parent are guard-protected since our search
-        // read them.
-        let (leaf, p_ref) = unsafe { (&*self.leaf, &*self.p) };
-        let new = leaf.replacement(edit, tree.leaf_capacity());
-        let op = Owned::new(Info::Insert(IInfo {
-            p: self.p,
-            l: self.leaf,
-            new: new.into_data(),
-        }))
-        .with_tag(State::IFlag.tag());
-        tree.bump_stat(|s| &s.iflag_attempts);
-        // Release publishes the fresh IInfo record; the stepped driver does
-        // not help on failure, so the failed value needs no Acquire.
-        match p_ref.update.compare_exchange(
-            self.pupdate(),
-            op,
-            Ordering::Release,
-            Ordering::Relaxed,
-            guard,
-        ) {
-            Ok(word) => {
-                tree.bump_stat(|s| &s.iflag_success);
-                // SAFETY: our iflag displaced `pupdate` from `p`.
-                unsafe { tree.retire_displaced(self.pupdate(), guard) };
-                self.op = word.as_raw();
-                true
-            }
-            Err(e) => {
-                // SAFETY: the replacement was never published.
-                unsafe { new.free_subtree() };
-                drop(e.new);
-                false
-            }
-        }
-    }
-
-    /// The **ichild** CAS (line 66 / 115 / 117).
-    fn execute_child(&self, tree: &NbBst<K, V>, guard: &Guard) -> bool {
-        // SAFETY: see `op_word`.
-        let info = unsafe { self.op_word().deref() }.as_insert();
-        // SAFETY: as in `NbBst::help_insert`: `p` cannot be unlinked while
-        // flagged by our record, which our guard has seen flagged.
-        let p = unsafe { &*info.p };
-        let l = info.leaf_word();
-        let won = tree.cas_child(p, l, info.new_word(), guard);
-        if won {
-            tree.bump_stat(|s| &s.ichild_success);
-            tree.bump_stat(|s| &s.nodes_retired);
-            // SAFETY: we unlinked `l`; unique retirement.
-            unsafe { l.retire(guard) };
-        }
-        won
-    }
-
-    /// The **iunflag** CAS (line 67).
-    fn unflag(&self, tree: &NbBst<K, V>, guard: &Guard) -> bool {
-        let op_word = self.op_word();
-        // SAFETY: see `op_word`.
-        let p = unsafe { &*op_word.deref().as_insert().p };
-        let expected = op_word.with_tag(State::IFlag.tag());
-        let clean = op_word.with_tag(State::Clean.tag());
-        // Release: observers of Clean must also see the ichild splice.
-        let won = p
-            .update
-            .compare_exchange(expected, clean, Ordering::Release, Ordering::Relaxed, guard)
-            .is_ok();
-        if won {
-            tree.bump_stat(|s| &s.iunflag_success);
-        }
-        won
-    }
-}
-
+/// What a [`Stepper`] did on its most recent step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum InsertPhase {
-    Created,
-    Searched,
-    Flagged,
-    ChildDone,
-    Done,
+pub enum StepOutcome {
+    /// The operation took one step and has more to do.
+    Running,
+    /// The operation completed with this boolean result.
+    Finished(bool),
+}
+
+/// A stepped `Insert` or `Delete` following the shipped control flow:
+/// each [`Stepper::step`] takes one step of the same machine
+/// `NbBst::insert_entry` and `NbBst::remove_key` run (a `Search`, one CAS,
+/// or one help pass), including the help steps after failed flags and
+/// marks and the retries after backtracks. This is the building block for
+/// schedule enumeration and fuzzing: interleave several `Stepper`s by
+/// calling [`Stepper::step`] in any order.
+///
+/// # Examples
+///
+/// ```
+/// use nbbst_core::raw::{Stepper, StepOutcome};
+/// use nbbst_core::NbBst;
+///
+/// let tree: NbBst<u64, u64> = NbBst::new();
+/// let mut a = Stepper::insert(&tree, 1, 10);
+/// let mut b = Stepper::insert(&tree, 2, 20);
+/// // Round-robin the two inserts one CAS step at a time.
+/// while !(a.is_finished() && b.is_finished()) {
+///     a.step();
+///     b.step();
+/// }
+/// assert_eq!(a.result(), Some(true));
+/// assert_eq!(b.result(), Some(true));
+/// assert!(tree.contains_key(&1) && tree.contains_key(&2));
+/// ```
+pub struct Stepper<'t, K, V> {
+    tree: &'t NbBst<K, V>,
+    key: K,
+    /// `Some` for an Insert.
+    value: Option<V>,
+    guard: Guard,
+    op: Update<K, V>,
+}
+
+impl<'t, K, V> Stepper<'t, K, V>
+where
+    K: Ord + Clone,
+    V: Clone,
+{
+    /// A stepped `Insert(key, value)`.
+    pub fn insert(tree: &'t NbBst<K, V>, key: K, value: V) -> Stepper<'t, K, V> {
+        Stepper::new(tree, key, Some(value))
+    }
+
+    /// A stepped `Delete(key)`.
+    pub fn delete(tree: &'t NbBst<K, V>, key: K) -> Stepper<'t, K, V> {
+        Stepper::new(tree, key, None)
+    }
+
+    fn new(tree: &'t NbBst<K, V>, key: K, value: Option<V>) -> Stepper<'t, K, V> {
+        Stepper {
+            tree,
+            key,
+            value,
+            guard: tree.pin(),
+            op: Update::new(),
+        }
+    }
+
+    /// Whether the operation has completed.
+    pub fn is_finished(&self) -> bool {
+        self.result().is_some()
+    }
+
+    /// The boolean result, once finished.
+    pub fn result(&self) -> Option<bool> {
+        match self.op.next() {
+            Step::Done(r) => Some(r),
+            _ => None,
+        }
+    }
+
+    /// Takes exactly one step of the operation (a `Search`, one CAS, or
+    /// one helping pass), following the paper's control flow. No-op once
+    /// finished.
+    pub fn step(&mut self) -> StepOutcome {
+        self.advance();
+        match self.result() {
+            Some(r) => StepOutcome::Finished(r),
+            None => StepOutcome::Running,
+        }
+    }
+
+    /// Takes one step; returns whether its CAS succeeded.
+    fn advance(&mut self) -> bool {
+        let edit = match &self.value {
+            Some(value) => Edit::Insert(&self.key, value),
+            None => Edit::Remove(&self.key),
+        };
+        // SAFETY: the driver's one guard was pinned before its first
+        // step, so before every attempt's Search.
+        unsafe { self.op.step(self.tree, edit, &self.guard) }
+    }
+
+    /// Takes the next step, which must be `step` (`what` names the
+    /// caller's precondition); returns whether its CAS succeeded.
+    fn take(&mut self, step: Step, what: &str) -> bool {
+        assert_eq!(self.op.next(), step, "{what}");
+        self.advance()
+    }
+
+    /// Runs a Search, after the help step a failed flag or a busy Search
+    /// left pending; returns the step that follows it.
+    fn search(&mut self) -> Step {
+        if self.op.next() == Step::Help && !self.op.is_flagged() {
+            self.advance();
+        }
+        self.take(
+            Step::Search,
+            "search() starts a new attempt: not after a successful flag()",
+        );
+        self.op.next()
+    }
+
+    /// The state of the word a busy Search found.
+    fn blocker_state(&self) -> State {
+        // SAFETY: as in `advance`.
+        unsafe { self.op.blocker(&self.guard) }.state()
+    }
+
+    /// Steps a flagged operation until it is done (`true`) or has
+    /// backtracked to a new Search (`false`).
+    fn complete(&mut self) -> bool {
+        assert!(
+            self.op.is_flagged(),
+            "complete() requires a successful flag()"
+        );
+        loop {
+            self.advance();
+            match self.op.next() {
+                Step::Done(r) => return r,
+                Step::Search => return false,
+                _ => {}
+            }
+        }
+    }
+}
+
+impl<K: fmt::Debug, V> fmt::Debug for Stepper<'_, K, V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Stepper")
+            .field("key", &self.key)
+            .field("insert", &self.value.is_some())
+            .field("next", &self.op.next())
+            .finish()
+    }
 }
 
 /// A stepped `Insert` (Figure 8), driven one CAS at a time.
@@ -244,14 +274,7 @@ enum InsertPhase {
 /// Step order: [`RawInsert::search`] → [`RawInsert::flag`] →
 /// [`RawInsert::execute_child`] → [`RawInsert::unflag`], or
 /// [`RawInsert::abandon`] at any point to simulate a crash.
-pub struct RawInsert<'t, K, V> {
-    tree: &'t NbBst<K, V>,
-    key: K,
-    value: V,
-    guard: Guard,
-    phase: InsertPhase,
-    circuit: Circuit<K, V>,
-}
+pub struct RawInsert<'t, K, V>(Stepper<'t, K, V>);
 
 impl<'t, K, V> RawInsert<'t, K, V>
 where
@@ -260,85 +283,47 @@ where
 {
     /// Prepares an insert of `(key, value)`.
     pub fn new(tree: &'t NbBst<K, V>, key: K, value: V) -> RawInsert<'t, K, V> {
-        let guard = tree.pin();
-        RawInsert {
-            tree,
-            key,
-            value,
-            guard,
-            phase: InsertPhase::Created,
-            circuit: Circuit::new(),
-        }
+        RawInsert(Stepper::insert(tree, key, value))
     }
 
     /// Runs the `Search` (lines 49–51): locates the leaf to replace and
-    /// records the parent and its update word.
-    ///
-    /// May be re-run (a fresh attempt) any time before [`RawInsert::flag`]
-    /// succeeds.
-    pub fn search(&mut self) -> InsertSearch {
-        assert!(
-            matches!(self.phase, InsertPhase::Created | InsertPhase::Searched),
-            "search() after flag(); the paper restarts attempts from Search"
-        );
-        let s = self.tree.search(&self.key, &self.guard);
-        if s.leaf.get(&self.key).is_some() {
-            return InsertSearch::Duplicate;
-        }
-        self.circuit.searched(s.p, s.leaf, s.pupdate);
-        self.phase = InsertPhase::Searched;
-        if s.pupdate.state() != State::Clean {
-            InsertSearch::Busy(s.pupdate.state())
-        } else {
-            InsertSearch::Ready
-        }
-    }
-
-    /// Helps the operation blocking the parent (the paper's line 51) and
-    /// restarts this attempt — call after [`RawInsert::search`] returned
-    /// [`InsertSearch::Busy`].
+    /// records the parent and its update word. After a failed
+    /// [`RawInsert::flag`] or a `Busy` search, first takes the pending
+    /// step that helps the blocker, as `Insert` does.
     ///
     /// # Panics
     ///
-    /// Panics unless the last step was a `search`.
-    pub fn help_blocker(&mut self) {
-        assert_eq!(
-            self.phase,
-            InsertPhase::Searched,
-            "help_blocker() requires search()"
-        );
-        let word = self.circuit.pupdate();
-        if word.state() != State::Clean {
-            self.tree.help(word, &self.guard);
+    /// Panics after a successful [`RawInsert::flag`].
+    pub fn search(&mut self) -> InsertSearch {
+        match self.0.search() {
+            Step::Done(_) => InsertSearch::Duplicate,
+            Step::Help => InsertSearch::Busy(self.0.blocker_state()),
+            _ => InsertSearch::Ready,
         }
-        self.phase = InsertPhase::Created; // restart from Search
+    }
+
+    /// Helps the operation blocking the parent (the paper's line 51);
+    /// the next step is a new `Search`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`RawInsert::search`] returned [`InsertSearch::Busy`].
+    pub fn help_blocker(&mut self) {
+        self.0
+            .take(Step::Help, "help_blocker() requires a Busy search()");
     }
 
     /// Attempts the **iflag** CAS (line 56). On success the insertion is
     /// guaranteed to complete (possibly via helpers).
     ///
-    /// On failure, re-run [`RawInsert::search`] before flagging again.
+    /// On failure, re-run [`RawInsert::search`], which first helps the
+    /// operation that holds the flag.
     ///
     /// # Panics
     ///
-    /// Panics if called before a successful [`RawInsert::search`].
+    /// Panics unless [`RawInsert::search`] returned [`InsertSearch::Ready`].
     pub fn flag(&mut self) -> bool {
-        assert_eq!(
-            self.phase,
-            InsertPhase::Searched,
-            "flag() requires search()"
-        );
-        let edit = Edit::Insert(&self.key, &self.value);
-        if !self.circuit.flag(self.tree, &self.guard, edit) {
-            self.phase = InsertPhase::Created;
-            return false;
-        }
-        // Once flagged, the insertion is guaranteed to complete
-        // (Section 3), so it counts as a successful Insert now.
-        self.tree.bump_stat(|s| &s.inserts);
-        self.tree.bump_stat(|s| &s.inserts_true);
-        self.phase = InsertPhase::Flagged;
-        true
+        self.0.take(Step::Flag, "flag() requires search()")
     }
 
     /// Attempts the **ichild** CAS (line 66 / 115 / 117). Returns whether
@@ -349,13 +334,7 @@ where
     ///
     /// Panics unless [`RawInsert::flag`] succeeded.
     pub fn execute_child(&mut self) -> bool {
-        assert_eq!(
-            self.phase,
-            InsertPhase::Flagged,
-            "execute_child() requires flag()"
-        );
-        self.phase = InsertPhase::ChildDone;
-        self.circuit.execute_child(self.tree, &self.guard)
+        self.0.take(Step::Child, "execute_child() requires flag()")
     }
 
     /// Attempts the **iunflag** CAS (line 67). Returns whether this call
@@ -365,27 +344,17 @@ where
     ///
     /// Panics unless [`RawInsert::execute_child`] ran.
     pub fn unflag(&mut self) -> bool {
-        assert_eq!(
-            self.phase,
-            InsertPhase::ChildDone,
-            "unflag() requires execute_child()"
-        );
-        self.phase = InsertPhase::Done;
-        self.circuit.unflag(self.tree, &self.guard)
+        self.0
+            .take(Step::Unflag, "unflag() requires execute_child()")
     }
 
-    /// Finishes the insert the way the real code would (`HelpInsert`).
+    /// Takes the remaining steps of a flagged insert.
     ///
     /// # Panics
     ///
     /// Panics unless [`RawInsert::flag`] succeeded.
     pub fn complete(mut self) {
-        assert!(
-            matches!(self.phase, InsertPhase::Flagged | InsertPhase::ChildDone),
-            "complete() requires a successful flag()"
-        );
-        self.tree.help_insert(self.circuit.op_word(), &self.guard);
-        self.phase = InsertPhase::Done;
+        self.0.complete();
     }
 
     /// Simulates a crash: stop taking steps forever. If the operation was
@@ -396,21 +365,8 @@ where
 
 impl<K: fmt::Debug, V> fmt::Debug for RawInsert<'_, K, V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RawInsert")
-            .field("key", &self.key)
-            .field("phase", &self.phase)
-            .finish()
+        self.0.fmt(f)
     }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DeletePhase {
-    Created,
-    Searched,
-    Flagged,
-    Marked,
-    ChildDone,
-    Done,
 }
 
 /// A stepped `Delete` (Figure 9), driven one CAS at a time.
@@ -423,18 +379,7 @@ enum DeletePhase {
 /// When the search finds the key in a leaf that keeps other entries, the
 /// attempt replaces that leaf instead: `flag` is an iflag, `mark` takes no
 /// step, and `execute_child`/`unflag` are the ichild and iunflag CASes.
-pub struct RawDelete<'t, K, V> {
-    tree: &'t NbBst<K, V>,
-    key: K,
-    guard: Guard,
-    phase: DeletePhase,
-    /// Whether this attempt replaces its leaf by a copy.
-    by_copy: bool,
-    gp: *const Internal<K, V>,
-    gpupdate_bits: usize,
-    /// Parent, leaf, `pupdate` and (once flagged) the Info record.
-    circuit: Circuit<K, V>,
-}
+pub struct RawDelete<'t, K, V>(Stepper<'t, K, V>);
 
 impl<'t, K, V> RawDelete<'t, K, V>
 where
@@ -443,132 +388,41 @@ where
 {
     /// Prepares a delete of `key`.
     pub fn new(tree: &'t NbBst<K, V>, key: K) -> RawDelete<'t, K, V> {
-        let guard = tree.pin();
-        RawDelete {
-            tree,
-            key,
-            guard,
-            phase: DeletePhase::Created,
-            by_copy: false,
-            gp: std::ptr::null(),
-            gpupdate_bits: 0,
-            circuit: Circuit::new(),
-        }
+        RawDelete(Stepper::delete(tree, key))
     }
 
-    fn gpupdate<'g>(&self) -> UpdateRef<'g, K, V> {
-        // SAFETY: read by our search under the still-held guard, so any
-        // Info record it tags is protected.
-        unsafe { Shared::from_data(self.gpupdate_bits) }
-    }
-
-    /// Runs the `Search` (lines 75–78).
+    /// Runs the `Search` (lines 75–78), after the pending help step of a
+    /// failed [`RawDelete::flag`] or a `Busy` search.
+    ///
+    /// # Panics
+    ///
+    /// Panics while the delete is flagged.
     pub fn search(&mut self) -> DeleteSearch {
-        assert!(
-            matches!(self.phase, DeletePhase::Created | DeletePhase::Searched),
-            "search() after flag(); restart semantics match the paper"
-        );
-        let s = self.tree.search(&self.key, &self.guard);
-        if s.leaf.get(&self.key).is_none() {
-            return DeleteSearch::NotFound;
-        }
-        self.by_copy = s.leaf.len() > 1;
-        self.gp = s.gp.map_or(std::ptr::null(), |gp| gp as *const _);
-        self.gpupdate_bits = s.gpupdate.into_data();
-        self.circuit.searched(s.p, s.leaf, s.pupdate);
-        self.phase = DeletePhase::Searched;
-        // A copy-delete flags only the parent.
-        if !self.by_copy && s.gpupdate.state() != State::Clean {
-            DeleteSearch::Busy(s.gpupdate.state())
-        } else if s.pupdate.state() != State::Clean {
-            DeleteSearch::Busy(s.pupdate.state())
-        } else {
-            DeleteSearch::Ready
+        match self.0.search() {
+            Step::Done(_) => DeleteSearch::NotFound,
+            Step::Help => DeleteSearch::Busy(self.0.blocker_state()),
+            _ => DeleteSearch::Ready,
         }
     }
 
     /// Helps the operation blocking the grandparent or parent (the
-    /// paper's lines 77–78) and restarts this attempt — call after
-    /// [`RawDelete::search`] returned [`DeleteSearch::Busy`].
+    /// paper's lines 77–78); the next step is a new `Search`.
     ///
     /// # Panics
     ///
-    /// Panics unless the last step was a `search`.
+    /// Panics unless [`RawDelete::search`] returned [`DeleteSearch::Busy`].
     pub fn help_blocker(&mut self) {
-        assert_eq!(
-            self.phase,
-            DeletePhase::Searched,
-            "help_blocker() requires search()"
-        );
-        let gpw = self.gpupdate();
-        let pw = self.circuit.pupdate();
-        if !self.by_copy && gpw.state() != State::Clean {
-            self.tree.help(gpw, &self.guard);
-        } else if pw.state() != State::Clean {
-            self.tree.help(pw, &self.guard);
-        }
-        self.phase = DeletePhase::Created; // restart from Search
+        self.0
+            .take(Step::Help, "help_blocker() requires a Busy search()");
     }
 
     /// Attempts the **dflag** CAS (line 81), or the iflag of a copy-delete.
     ///
     /// # Panics
     ///
-    /// Panics if called before a successful [`RawDelete::search`].
+    /// Panics unless [`RawDelete::search`] returned [`DeleteSearch::Ready`].
     pub fn flag(&mut self) -> bool {
-        assert_eq!(
-            self.phase,
-            DeletePhase::Searched,
-            "flag() requires search()"
-        );
-        if self.by_copy {
-            if !self
-                .circuit
-                .flag(self.tree, &self.guard, Edit::Remove(&self.key))
-            {
-                self.phase = DeletePhase::Created;
-                return false;
-            }
-            // Certain to complete once flagged, like an Insert.
-            self.tree.bump_stat(|s| &s.deletes);
-            self.tree.bump_stat(|s| &s.deletes_true);
-            self.tree.bump_stat(|s| &s.deletes_by_copy);
-            self.phase = DeletePhase::Flagged;
-            return true;
-        }
-        let op = Owned::new(Info::Delete(DInfo {
-            gp: self.gp,
-            p: self.circuit.p,
-            l: self.circuit.leaf,
-            pupdate: self.circuit.pupdate_bits,
-        }))
-        .with_tag(State::DFlag.tag());
-        self.tree.bump_stat(|s| &s.dflag_attempts);
-        // SAFETY: guard-protected since search; a leaf holding a real key
-        // has a grandparent.
-        let gp_ref = unsafe { &*self.gp };
-        // Release publishes the fresh DInfo record; no helping on failure.
-        match gp_ref.update.compare_exchange(
-            self.gpupdate(),
-            op,
-            Ordering::Release,
-            Ordering::Relaxed,
-            &self.guard,
-        ) {
-            Ok(word) => {
-                self.tree.bump_stat(|s| &s.dflag_success);
-                // SAFETY: our dflag displaced `gpupdate` from `gp`.
-                unsafe { self.tree.retire_displaced(self.gpupdate(), &self.guard) };
-                self.circuit.op = word.as_raw();
-                self.phase = DeletePhase::Flagged;
-                true
-            }
-            Err(e) => {
-                drop(e.new);
-                self.phase = DeletePhase::Created;
-                false
-            }
-        }
+        self.0.take(Step::Flag, "flag() requires search()")
     }
 
     /// Attempts the **mark** CAS (line 91). A copy-delete has no mark step
@@ -578,44 +432,14 @@ where
     ///
     /// Panics unless [`RawDelete::flag`] succeeded.
     pub fn mark(&mut self) -> MarkOutcome {
-        assert_eq!(self.phase, DeletePhase::Flagged, "mark() requires flag()");
-        if self.by_copy {
-            self.phase = DeletePhase::Marked;
+        if !self.0.op.splices() && self.0.op.next() == Step::Child {
             return MarkOutcome::Marked;
         }
-        let op_word = self.circuit.op_word();
-        // SAFETY: `op` was published by our flag CAS; the record and the
-        // nodes it names are guard-protected until it is retired.
-        let info = unsafe { op_word.deref() }.as_delete();
-        // SAFETY: as above.
-        let p = unsafe { &*info.p };
-        let expected = info.pupdate_word(&self.guard);
-        let mark_word = op_word.with_tag(State::Mark.tag());
-        self.tree.bump_stat(|s| &s.mark_attempts);
-        // Release publishes the Mark; the failed value is only compared
-        // bit-for-bit against `mark_word`, never dereferenced, so Relaxed.
-        let outcome = p.update.compare_exchange(
-            expected,
-            mark_word,
-            Ordering::Release,
-            Ordering::Relaxed,
-            &self.guard,
-        );
-        match outcome {
-            Ok(_) => {
-                self.tree.bump_stat(|s| &s.mark_success);
-                // SAFETY: our mark displaced `expected` from `p`.
-                unsafe { self.tree.retire_displaced(expected, &self.guard) };
-            }
-            Err(e) if e.current == mark_word => {}
-            Err(_) => return MarkOutcome::Failed,
+        if self.0.take(Step::Mark, "mark() requires flag()") {
+            MarkOutcome::Marked
+        } else {
+            MarkOutcome::Failed
         }
-        // Once marked, the deletion is guaranteed to complete (Section 3),
-        // so it counts as a successful Delete now.
-        self.tree.bump_stat(|s| &s.deletes);
-        self.tree.bump_stat(|s| &s.deletes_true);
-        self.phase = DeletePhase::Marked;
-        MarkOutcome::Marked
     }
 
     /// Attempts the **dchild** CAS (line 105), or a copy-delete's ichild.
@@ -625,41 +449,7 @@ where
     ///
     /// Panics unless the parent was marked.
     pub fn execute_child(&mut self) -> bool {
-        assert_eq!(
-            self.phase,
-            DeletePhase::Marked,
-            "execute_child() requires mark()"
-        );
-        self.phase = DeletePhase::ChildDone;
-        if self.by_copy {
-            return self.circuit.execute_child(self.tree, &self.guard);
-        }
-        // SAFETY: `op` was published by our flag CAS under our guard, so
-        // the record, and every node it names (`p`, `gp`, `l`), are
-        // unlinked or displaced only after our guard pinned.
-        let info = unsafe { self.circuit.op_word().deref() }.as_delete();
-        // SAFETY: as above.
-        let (p, gp) = unsafe { (&*info.p, &*info.gp) };
-        let l = info.leaf_word();
-        let right = p.load_child(false, &self.guard);
-        let other = if right == l {
-            p.load_child(true, &self.guard)
-        } else {
-            right
-        };
-        let p_word = internal_ptr(info.p);
-        let won = self.tree.cas_child(gp, p_word, other, &self.guard);
-        if won {
-            self.tree.bump_stat(|s| &s.dchild_success);
-            self.tree.bump_stat(|s| &s.nodes_retired);
-            self.tree.bump_stat(|s| &s.nodes_retired);
-            // SAFETY: we unlinked `p` and `l`; unique retirement.
-            unsafe {
-                p_word.retire(&self.guard);
-                l.retire(&self.guard);
-            }
-        }
-        won
+        self.0.take(Step::Child, "execute_child() requires mark()")
     }
 
     /// Attempts the **dunflag** CAS (line 106), or a copy-delete's
@@ -669,99 +459,36 @@ where
     ///
     /// Panics unless [`RawDelete::execute_child`] ran.
     pub fn unflag(&mut self) -> bool {
-        assert_eq!(
-            self.phase,
-            DeletePhase::ChildDone,
-            "unflag() requires execute_child()"
-        );
-        self.phase = DeletePhase::Done;
-        if self.by_copy {
-            return self.circuit.unflag(self.tree, &self.guard);
-        }
-        let won = self.clear_dflag();
-        if won {
-            self.tree.bump_stat(|s| &s.dunflag_success);
-        }
-        won
+        self.0
+            .take(Step::Unflag, "unflag() requires execute_child()")
     }
 
-    /// Attempts the **backtrack** CAS (line 98), abandoning this attempt
-    /// after a failed mark. Returns whether this call performed it.
+    /// After a failed mark, helps the operation that blocked it (line 97),
+    /// then attempts the **backtrack** CAS (line 98). Returns whether this
+    /// call performed the backtrack.
     ///
-    /// The driver returns to the `Created` phase: re-run
-    /// [`RawDelete::search`] to retry, as `Delete` does.
+    /// The next step is a new `Search`: re-run [`RawDelete::search`] to
+    /// retry, as `Delete` does.
     ///
     /// # Panics
     ///
-    /// Panics unless the delete is flagged and unmarked.
+    /// Panics unless [`RawDelete::mark`] failed.
     pub fn backtrack(&mut self) -> bool {
-        assert_eq!(
-            self.phase,
-            DeletePhase::Flagged,
-            "backtrack() requires a flagged, unmarked delete"
-        );
-        assert!(!self.by_copy, "a copy-delete cannot fail once flagged");
-        let won = self.clear_dflag();
-        if won {
-            self.tree.bump_stat(|s| &s.backtrack_success);
-        }
-        self.circuit.op = std::ptr::null();
-        self.phase = DeletePhase::Created;
-        won
+        self.0
+            .take(Step::Help, "backtrack() requires a failed mark()");
+        self.0
+            .take(Step::Backtrack, "backtrack() requires a failed mark()")
     }
 
-    /// The DFlag → Clean CAS on the grandparent shared by dunflag and
-    /// backtrack.
-    fn clear_dflag(&self) -> bool {
-        let op_word = self.circuit.op_word();
-        // SAFETY: `op` was published by our flag CAS; the record and the
-        // nodes it names are guard-protected.
-        let gp = unsafe { &*op_word.deref().as_delete().gp };
-        let dflag = op_word.with_tag(State::DFlag.tag());
-        let clean = op_word.with_tag(State::Clean.tag());
-        // Release: observers of Clean must also see the dchild splice (for
-        // dunflag) and pair with helpers' Acquire loads (for backtrack).
-        gp.update
-            .compare_exchange(
-                dflag,
-                clean,
-                Ordering::Release,
-                Ordering::Relaxed,
-                &self.guard,
-            )
-            .is_ok()
-    }
-
-    /// Finishes via the real `HelpDelete` (or `HelpInsert` for a
-    /// copy-delete); returns whether the deletion completed (`false`
-    /// means it backtracked and must be retried).
+    /// Takes the remaining steps of a flagged delete; returns whether the
+    /// deletion completed (`false` means it backtracked and must be
+    /// retried from [`RawDelete::search`]).
     ///
     /// # Panics
     ///
     /// Panics unless [`RawDelete::flag`] succeeded.
     pub fn complete(mut self) -> bool {
-        assert!(
-            matches!(
-                self.phase,
-                DeletePhase::Flagged | DeletePhase::Marked | DeletePhase::ChildDone
-            ),
-            "complete() requires a successful flag()"
-        );
-        let op_word = self.circuit.op_word();
-        let was_unmarked = self.phase == DeletePhase::Flagged;
-        self.phase = DeletePhase::Done;
-        if self.by_copy {
-            self.tree.help_insert(op_word, &self.guard);
-            return true;
-        }
-        let done = self.tree.help_delete(op_word, &self.guard);
-        if done && was_unmarked {
-            // `mark()` was never called by us, so the completion has not
-            // been counted yet.
-            self.tree.bump_stat(|s| &s.deletes);
-            self.tree.bump_stat(|s| &s.deletes_true);
-        }
-        done
+        self.0.complete()
     }
 
     /// Simulates a crash: stop forever. Published state (the flag/mark and
@@ -772,11 +499,7 @@ where
 
 impl<K: fmt::Debug, V> fmt::Debug for RawDelete<'_, K, V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RawDelete")
-            .field("key", &self.key)
-            .field("phase", &self.phase)
-            .field("by_copy", &self.by_copy)
-            .finish()
+        self.0.fmt(f)
     }
 }
 
@@ -861,184 +584,6 @@ impl<K: fmt::Debug, V> fmt::Debug for RawFind<'_, K, V> {
             .field("key", &self.key)
             .field("steps", &self.steps)
             .finish()
-    }
-}
-
-/// What a [`Stepper`] did on its most recent step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepOutcome {
-    /// The operation took one step and has more to do.
-    Running,
-    /// The operation completed with this boolean result.
-    Finished(bool),
-}
-
-/// A uniform one-CAS-step-at-a-time driver over [`RawInsert`] /
-/// [`RawDelete`], following the *real* algorithm's control flow (retry
-/// after failed flags, help on busy searches, backtrack after failed
-/// marks). This is the building block for schedule enumeration and
-/// fuzzing: interleave several `Stepper`s by calling [`Stepper::step`]
-/// in any order.
-///
-/// # Examples
-///
-/// ```
-/// use nbbst_core::raw::{Stepper, StepOutcome};
-/// use nbbst_core::NbBst;
-///
-/// let tree: NbBst<u64, u64> = NbBst::new();
-/// let mut a = Stepper::insert(&tree, 1, 10);
-/// let mut b = Stepper::insert(&tree, 2, 20);
-/// // Round-robin the two inserts one CAS step at a time.
-/// while !(a.is_finished() && b.is_finished()) {
-///     a.step();
-///     b.step();
-/// }
-/// assert_eq!(a.result(), Some(true));
-/// assert_eq!(b.result(), Some(true));
-/// assert!(tree.contains_key(&1) && tree.contains_key(&2));
-/// ```
-pub struct Stepper<'t, K, V> {
-    inner: StepperInner<'t, K, V>,
-}
-
-enum StepperInner<'t, K, V> {
-    Insert(RawInsert<'t, K, V>, InsStep),
-    Delete(RawDelete<'t, K, V>, DelStep),
-    Finished(bool),
-}
-
-#[derive(Clone, Copy)]
-enum InsStep {
-    Search,
-    Flag,
-    Child,
-    Unflag,
-}
-
-#[derive(Clone, Copy)]
-enum DelStep {
-    Search,
-    Flag,
-    Mark,
-    Child,
-    Unflag,
-    Backtrack,
-}
-
-impl<'t, K, V> Stepper<'t, K, V>
-where
-    K: Ord + Clone,
-    V: Clone,
-{
-    /// A stepped `Insert(key, value)`.
-    pub fn insert(tree: &'t NbBst<K, V>, key: K, value: V) -> Stepper<'t, K, V> {
-        Stepper {
-            inner: StepperInner::Insert(RawInsert::new(tree, key, value), InsStep::Search),
-        }
-    }
-
-    /// A stepped `Delete(key)`.
-    pub fn delete(tree: &'t NbBst<K, V>, key: K) -> Stepper<'t, K, V> {
-        Stepper {
-            inner: StepperInner::Delete(RawDelete::new(tree, key), DelStep::Search),
-        }
-    }
-
-    /// Whether the operation has completed.
-    pub fn is_finished(&self) -> bool {
-        matches!(self.inner, StepperInner::Finished(_))
-    }
-
-    /// The boolean result, once finished.
-    pub fn result(&self) -> Option<bool> {
-        match self.inner {
-            StepperInner::Finished(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// Takes exactly one step of the operation (a `Search`, one CAS, or
-    /// one helping pass), following the paper's control flow. No-op once
-    /// finished.
-    pub fn step(&mut self) -> StepOutcome {
-        let next = match std::mem::replace(&mut self.inner, StepperInner::Finished(false)) {
-            StepperInner::Insert(mut ins, phase) => match phase {
-                InsStep::Search => match ins.search() {
-                    InsertSearch::Duplicate => StepperInner::Finished(false),
-                    InsertSearch::Busy(_) => {
-                        // Line 51: help the blocker, then retry from Search.
-                        ins.help_blocker();
-                        StepperInner::Insert(ins, InsStep::Search)
-                    }
-                    InsertSearch::Ready => StepperInner::Insert(ins, InsStep::Flag),
-                },
-                InsStep::Flag => {
-                    if ins.flag() {
-                        StepperInner::Insert(ins, InsStep::Child)
-                    } else {
-                        StepperInner::Insert(ins, InsStep::Search)
-                    }
-                }
-                InsStep::Child => {
-                    ins.execute_child();
-                    StepperInner::Insert(ins, InsStep::Unflag)
-                }
-                InsStep::Unflag => {
-                    ins.unflag();
-                    StepperInner::Finished(true)
-                }
-            },
-            StepperInner::Delete(mut del, phase) => match phase {
-                DelStep::Search => match del.search() {
-                    DeleteSearch::NotFound => StepperInner::Finished(false),
-                    DeleteSearch::Busy(_) => {
-                        del.help_blocker();
-                        StepperInner::Delete(del, DelStep::Search)
-                    }
-                    DeleteSearch::Ready => StepperInner::Delete(del, DelStep::Flag),
-                },
-                DelStep::Flag => {
-                    if del.flag() {
-                        StepperInner::Delete(del, DelStep::Mark)
-                    } else {
-                        StepperInner::Delete(del, DelStep::Search)
-                    }
-                }
-                DelStep::Mark => match del.mark() {
-                    MarkOutcome::Marked => StepperInner::Delete(del, DelStep::Child),
-                    MarkOutcome::Failed => StepperInner::Delete(del, DelStep::Backtrack),
-                },
-                DelStep::Backtrack => {
-                    del.backtrack();
-                    StepperInner::Delete(del, DelStep::Search)
-                }
-                DelStep::Child => {
-                    del.execute_child();
-                    StepperInner::Delete(del, DelStep::Unflag)
-                }
-                DelStep::Unflag => {
-                    del.unflag();
-                    StepperInner::Finished(true)
-                }
-            },
-            finished => finished,
-        };
-        self.inner = next;
-        match self.inner {
-            StepperInner::Finished(r) => StepOutcome::Finished(r),
-            _ => StepOutcome::Running,
-        }
-    }
-}
-
-impl<K: fmt::Debug, V> fmt::Debug for Stepper<'_, K, V> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.inner {
-            StepperInner::Insert(i, _) => write!(f, "Stepper({i:?})"),
-            StepperInner::Delete(d, _) => write!(f, "Stepper({d:?})"),
-            StepperInner::Finished(r) => write!(f, "Stepper(Finished({r}))"),
-        }
     }
 }
 
@@ -1178,6 +723,76 @@ mod tests {
         let stats = t.stats().unwrap();
         assert_eq!(stats.backtrack_success, 1);
         stats.check_figure4().unwrap();
+    }
+
+    #[test]
+    fn stepped_delete_helps_the_blocker_of_its_mark_before_backtracking() {
+        // HelpDelete line 97: a failed mark helps the operation that
+        // blocked it before the backtrack CAS.
+        let t = tree_with(&[10, 20]);
+        let mut del = Stepper::delete(&t, 10);
+        del.step(); // Search
+        del.step(); // dflag on the grandparent
+        assert_eq!(t.stats().unwrap().dflag_success, 1);
+
+        // Insert(15) flags the parent the delete has yet to mark, and
+        // crashes there.
+        let mut ins = RawInsert::new(&t, 15, 150);
+        assert!(ins.search().is_ready());
+        assert!(ins.flag());
+        ins.abandon();
+
+        let mut steps = 0;
+        while t.stats().unwrap().backtrack_success == 0 {
+            del.step();
+            steps += 1;
+            assert!(steps < 64, "the delete must backtrack");
+        }
+        assert!(
+            t.contains_key(&15),
+            "the delete completed the insert that blocked its mark"
+        );
+        while !del.is_finished() {
+            del.step();
+        }
+        assert_eq!(del.result(), Some(true));
+        assert_eq!(t.keys_snapshot(), vec![15, 20]);
+        t.check_invariants().unwrap();
+        t.stats().unwrap().check_figure4().unwrap();
+    }
+
+    #[test]
+    fn stepped_insert_helps_the_flag_holder_before_its_next_search() {
+        // Insert line 61: a failed iflag helps whoever holds the flag
+        // before the attempt restarts from Search.
+        let t = tree_with(&[10, 20]);
+        let mut ins = Stepper::insert(&t, 15, 150);
+        assert_eq!(ins.step(), StepOutcome::Running); // Search
+
+        // Insert(12) flags the same parent first, and crashes there.
+        let mut winner = RawInsert::new(&t, 12, 120);
+        assert!(winner.search().is_ready());
+        assert!(winner.flag());
+        winner.abandon();
+
+        let before = t.stats().unwrap();
+        ins.step(); // the iflag, which loses
+        ins.step(); // the help step
+        let after = t.stats().unwrap();
+        assert_eq!(after.iflag_attempts, before.iflag_attempts + 1);
+        assert_eq!(after.iflag_success, before.iflag_success);
+        assert_eq!(after.searches, before.searches, "no new Search yet");
+        assert!(
+            t.contains_key(&12),
+            "the loser completed the winner before searching again"
+        );
+        while !ins.is_finished() {
+            ins.step();
+        }
+        assert_eq!(ins.result(), Some(true));
+        assert_eq!(t.keys_snapshot(), vec![10, 12, 15, 20]);
+        t.check_invariants().unwrap();
+        t.stats().unwrap().check_figure4().unwrap();
     }
 
     #[test]

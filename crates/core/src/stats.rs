@@ -132,11 +132,14 @@ stats_fields! {
     backtrack_success,
     /// Calls into the general `Help` routine (lines 107–112).
     helps,
-    /// Calls into `HelpInsert` (own operation or helping).
+    /// Calls into `HelpInsert`, finishing another operation's leaf
+    /// replacement (an operation takes its own ichild and iunflag as
+    /// steps of its update machine, not through `HelpInsert`).
     help_insert_calls,
-    /// Calls into `HelpDelete`.
+    /// Calls into `HelpDelete` for another operation's deletion.
     help_delete_calls,
-    /// Calls into `HelpMarked`.
+    /// Calls into `HelpMarked` for another operation's deletion (from
+    /// `Help` or the cleaning search).
     help_marked_calls,
     /// Nodes retired to the collector.
     nodes_retired,

@@ -2,6 +2,13 @@
 //! helping routines, line-for-line against the paper's Figures 8 and 9,
 //! with multi-entry leaves (DESIGN.md §13).
 //!
+//! Each CAS step of the protocol has one function here (`iflag`, `ichild`,
+//! `iunflag`, `dflag`, `mark`, `dchild`, `dunflag`, `backtrack`). `Insert`
+//! and `Delete` are one step machine, [`Update`], which chains them; the
+//! public operations step it to completion and the drivers in
+//! [`crate::raw`] step it under test control, so tests run the shipped
+//! protocol. The helping routines call the same step functions.
+//!
 //! Each public operation pins the epoch collector once per *attempt* (the
 //! paper's retry loop iterations), so every pointer read during an attempt
 //! — including Info records published by other threads — stays live for
@@ -19,7 +26,7 @@ use crate::node::{
 use crate::state::State;
 use crate::stats::{StatsSnapshot, TreeStats};
 use nbbst_dictionary::{real_vs_node, ConcurrentMap, SentinelKey};
-use nbbst_reclaim::{Collector, Guard, Owned};
+use nbbst_reclaim::{Collector, Guard, Owned, Shared};
 use std::cmp::Ordering as CmpOrdering;
 use std::fmt;
 use std::sync::atomic::Ordering as AtomicOrdering;
@@ -219,13 +226,6 @@ where
         }
     }
 
-    /// Counter access for the stepped drivers in [`crate::raw`], which
-    /// perform the same CAS steps outside the normal code paths.
-    #[inline]
-    pub(crate) fn bump_stat(&self, f: impl FnOnce(&TreeStats) -> &crate::stats::Counter) {
-        self.bump(f);
-    }
-
     /// Pins the collector for one operation attempt.
     pub(crate) fn pin(&self) -> Guard {
         self.collector.pin()
@@ -297,7 +297,7 @@ where
     }
 
     // ------------------------------------------------------------------
-    // Insert (Figure 8, lines 41–68)
+    // Insert and Delete (Figure 8 lines 41–62, Figure 9 lines 69–89)
     // ------------------------------------------------------------------
 
     /// Adds `key` with `value`; on duplicate, returns ownership of both.
@@ -307,57 +307,96 @@ where
     /// `Err((key, value))` if the key was already present (the paper's
     /// `Insert` returns `False`; we additionally hand the inputs back).
     pub fn insert_entry(&self, key: K, value: V) -> Result<(), (K, V)> {
-        loop {
-            let guard = self.pin();
-            let s = self.search(&key, &guard); //                       line 49
-            if s.leaf.get(&key).is_some() {
-                // Line 50: cannot insert a duplicate key.
-                self.bump(|st| &st.inserts);
-                return Err((key, value));
-            }
-            if s.pupdate.state() != State::Clean {
-                // Line 51: help the operation blocking the parent, retry.
-                self.help(s.pupdate, &guard);
-                self.bump(|st| &st.insert_retries);
-                continue;
-            }
-            // Lines 52–54: build the replacement of Figure 1.
-            let new = s
-                .leaf
-                .replacement(Edit::Insert(&key, &value), self.leaf_capacity);
-            if self.replace_leaf(&s, new, &guard) {
-                self.bump(|st| &st.inserts);
-                self.bump(|st| &st.inserts_true);
-                return Ok(());
-            }
-            self.bump(|st| &st.insert_retries);
+        match self.update(Edit::Insert(&key, &value), |_| ()) {
+            Some(()) => Ok(()),
+            None => Err((key, value)),
         }
     }
 
-    /// Lines 55–61 of `Insert`, shared by every update that replaces a
-    /// leaf: publish a fresh IInfo record with the iflag CAS and finish it
-    /// with `HelpInsert`. If the iflag fails, frees the unpublished
-    /// replacement, helps whoever holds the flag and returns `false`, so
-    /// the caller retries from `Search`.
-    fn replace_leaf(
+    /// Removes `key`; returns `true` iff it was present.
+    pub fn remove_key(&self, key: &K) -> bool {
+        self.update(Edit::Remove(key), |_| ()).is_some()
+    }
+
+    /// Removes `key`, returning a clone of its value if it was present.
+    pub fn remove_entry(&self, key: &K) -> Option<V> {
+        self.update(Edit::Remove(key), |leaf| leaf.get(key).cloned())
+            .flatten()
+    }
+
+    /// Steps one update machine until it is done, pinning once per
+    /// attempt: the paper's retry loop. On success, `extract` runs on the
+    /// leaf the final Search reached while the guard still protects it.
+    fn update<R>(&self, edit: Edit<'_, K, V>, extract: impl FnOnce(&Leaf<K, V>) -> R) -> Option<R> {
+        let mut op = Update::new();
+        loop {
+            let guard = self.pin();
+            loop {
+                // SAFETY: `guard` was pinned before this attempt's Search
+                // and serves all of its steps.
+                unsafe { op.step(self, edit, &guard) };
+                match op.next() {
+                    Step::Search => break,
+                    Step::Done(false) => return None,
+                    // SAFETY: as above; the Search has run.
+                    Step::Done(true) => return Some(extract(unsafe { op.found(&guard) }.leaf)),
+                    _ => {}
+                }
+            }
+        }
+    }
+
+    /// Counts an attempt that returns to its Search.
+    fn count_retry(&self, edit: Edit<'_, K, V>) {
+        match edit {
+            Edit::Insert(..) => self.bump(|st| &st.insert_retries),
+            Edit::Remove(_) => self.bump(|st| &st.delete_retries),
+        }
+    }
+
+    /// Counts a completed Insert or Delete call and, if it succeeded, how.
+    fn count_done(&self, edit: Edit<'_, K, V>, result: bool, by_copy: bool) {
+        if matches!(edit, Edit::Insert(..)) {
+            self.bump(|st| &st.inserts);
+            if result {
+                self.bump(|st| &st.inserts_true);
+            }
+        } else {
+            self.bump(|st| &st.deletes);
+            if result {
+                self.bump(|st| &st.deletes_true);
+            }
+            if by_copy {
+                self.bump(|st| &st.deletes_by_copy);
+            }
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // The CAS steps (Figure 8 lines 56, 66–67; Figure 9 lines 81, 91, 98,
+    // 105–106), one function each. The update machine and the helping
+    // routines both call these.
+    // ------------------------------------------------------------------
+
+    /// The iflag CAS (line 56): publishes a fresh IInfo record replacing
+    /// `s.leaf` by `new`. Returns the flagged word, or, after freeing the
+    /// unpublished `new`, the word that blocked the CAS.
+    fn iflag<'g>(
         &self,
-        s: &SearchResult<'_, K, V>,
+        s: &SearchResult<'g, K, V>,
         new: NodePtr<'_, K, V>,
-        guard: &Guard,
-    ) -> bool {
-        // Line 55: fresh IInfo record.
+        guard: &'g Guard,
+    ) -> Result<UpdateRef<'g, K, V>, UpdateRef<'g, K, V>> {
         let op = Owned::new(Info::Insert(IInfo {
             p: s.p,
             l: s.leaf,
             new: new.into_data(),
         }))
         .with_tag(State::IFlag.tag());
-
-        // Line 56: the iflag CAS.
         self.bump(|st| &st.iflag_attempts);
         // AcqRel: Release publishes the fresh IInfo record (and the
         // replacement it points to) to helpers; failure is Acquire because
-        // the observed word is helped (dereferenced) below, and a failed
+        // the observed word is helped (dereferenced) next, and a failed
         // CAS must not synchronize more than a successful one, so success
         // carries the Acquire too (enforced by nbbst-lint).
         match s.p.update.compare_exchange(
@@ -368,275 +407,170 @@ where
             guard,
         ) {
             Ok(op_word) => {
-                // Lines 57–59: flag won; finish.
                 self.bump(|st| &st.iflag_success);
                 // SAFETY: our iflag displaced `pupdate` from `p`.
                 unsafe { self.retire_displaced(s.pupdate, guard) };
-                self.help_insert(op_word, guard);
-                true
+                Ok(op_word)
             }
             Err(e) => {
-                // Line 61: help whoever holds the flag.
                 // SAFETY: the replacement was never published.
                 unsafe { new.free_subtree() };
                 drop(e.new); // the unpublished IInfo record
-                self.help(e.current, guard);
-                false
+                Err(e.current)
             }
         }
     }
 
-    // ------------------------------------------------------------------
-    // Delete (Figure 9, lines 69–89)
-    // ------------------------------------------------------------------
-
-    /// Removes `key`; returns `true` iff it was present.
-    pub fn remove_key(&self, key: &K) -> bool {
-        self.remove_and(key, |_| ()).is_some()
-    }
-
-    /// Removes `key`, returning a clone of its value if it was present.
-    pub fn remove_entry(&self, key: &K) -> Option<V> {
-        self.remove_and(key, V::clone)
-    }
-
-    /// Shared deletion driver; `extract` runs on the deleted entry's value
-    /// while it is still guard-protected.
-    fn remove_and<R>(&self, key: &K, extract: impl FnOnce(&V) -> R) -> Option<R> {
-        loop {
-            let guard = self.pin();
-            let s = self.search(key, &guard); //                        line 75
-            let Some(value) = s.leaf.get(key) else {
-                // Line 76: key not in the tree.
-                self.bump(|st| &st.deletes);
-                return None;
-            };
-            if s.leaf.len() > 1 {
-                // The leaf keeps other entries: replace it by a copy
-                // without `key` through the insertion circuit, which only
-                // needs the parent Clean.
-                if s.pupdate.state() != State::Clean {
-                    self.help(s.pupdate, &guard);
-                    self.bump(|st| &st.delete_retries);
-                    continue;
-                }
-                let new = s.leaf.replacement(Edit::Remove(key), self.leaf_capacity);
-                if self.replace_leaf(&s, new, &guard) {
-                    self.bump(|st| &st.deletes);
-                    self.bump(|st| &st.deletes_true);
-                    self.bump(|st| &st.deletes_by_copy);
-                    return Some(extract(value));
-                }
-                self.bump(|st| &st.delete_retries);
-                continue;
+    /// The dflag CAS (line 81): publishes a fresh DInfo record on the
+    /// grandparent. Returns the flagged word or the word that blocked it.
+    fn dflag<'g>(
+        &self,
+        s: &SearchResult<'g, K, V>,
+        guard: &'g Guard,
+    ) -> Result<UpdateRef<'g, K, V>, UpdateRef<'g, K, V>> {
+        // A leaf holding a real key sits below the root's children, so it
+        // has a grandparent.
+        let gp = s.gp.expect("a real key's leaf has a grandparent");
+        let op = Owned::new(Info::Delete(DInfo {
+            gp,
+            p: s.p,
+            l: s.leaf,
+            pupdate: s.pupdate.into_data(),
+        }))
+        .with_tag(State::DFlag.tag());
+        self.bump(|st| &st.dflag_attempts);
+        // AcqRel: Release publishes the fresh DInfo record; failure is
+        // Acquire because the observed word is helped (dereferenced) next,
+        // and success must be at least as strong on the read side as
+        // failure (enforced by nbbst-lint).
+        match gp.update.compare_exchange(
+            s.gpupdate,
+            op,
+            AtomicOrdering::AcqRel,
+            AtomicOrdering::Acquire,
+            guard,
+        ) {
+            Ok(op_word) => {
+                self.bump(|st| &st.dflag_success);
+                // SAFETY: our dflag displaced `gpupdate` from `gp`.
+                unsafe { self.retire_displaced(s.gpupdate, guard) };
+                Ok(op_word)
             }
-            if s.gpupdate.state() != State::Clean {
-                // Line 77: grandparent busy; help, retry.
-                self.help(s.gpupdate, &guard);
-                self.bump(|st| &st.delete_retries);
-                continue;
-            }
-            if s.pupdate.state() != State::Clean {
-                // Line 78: parent busy; help, retry.
-                self.help(s.pupdate, &guard);
-                self.bump(|st| &st.delete_retries);
-                continue;
-            }
-
-            // Line 80: fresh DInfo record. A leaf holding a real key sits
-            // below the root's children, so it has a grandparent.
-            let gp = s.gp.expect("a real key's leaf has a grandparent");
-            let op = Owned::new(Info::Delete(DInfo {
-                gp,
-                p: s.p,
-                l: s.leaf,
-                pupdate: s.pupdate.into_data(),
-            }))
-            .with_tag(State::DFlag.tag());
-
-            // Line 81: the dflag CAS.
-            self.bump(|st| &st.dflag_attempts);
-            // AcqRel: Release publishes the fresh DInfo record; failure is
-            // Acquire because the observed word is helped (dereferenced)
-            // below, and success must be at least as strong on the read
-            // side as failure (enforced by nbbst-lint).
-            match gp.update.compare_exchange(
-                s.gpupdate,
-                op,
-                AtomicOrdering::AcqRel,
-                AtomicOrdering::Acquire,
-                &guard,
-            ) {
-                Ok(op_word) => {
-                    self.bump(|st| &st.dflag_success);
-                    // SAFETY: our dflag displaced `gpupdate` from `gp`.
-                    unsafe { self.retire_displaced(s.gpupdate, &guard) };
-                    if self.help_delete(op_word, &guard) {
-                        // Line 83: deletion completed. The guard keeps the
-                        // retired leaf, and so `value`, readable.
-                        self.bump(|st| &st.deletes);
-                        self.bump(|st| &st.deletes_true);
-                        return Some(extract(value));
-                    }
-                    self.bump(|st| &st.delete_retries);
-                }
-                Err(e) => {
-                    // Line 85: dflag failed; help the blocker and retry.
-                    drop(e.new); // unpublished DInfo
-                    self.help(e.current, &guard);
-                    self.bump(|st| &st.delete_retries);
-                }
+            Err(e) => {
+                drop(e.new); // the unpublished DInfo record
+                Err(e.current)
             }
         }
     }
 
-    // ------------------------------------------------------------------
-    // Helping (Figure 8 lines 63–68, Figure 9 lines 90–118)
-    // ------------------------------------------------------------------
-
-    /// `Help(u)` (lines 107–112): dispatch on the state packed in `u`.
-    pub(crate) fn help(&self, u: UpdateRef<'_, K, V>, guard: &Guard) {
-        self.bump(|st| &st.helps);
-        match u.state() {
-            State::IFlag => self.help_insert(u, guard),
-            State::Mark => self.help_marked(u, guard),
-            State::DFlag => {
-                let _ = self.help_delete(u, guard);
+    /// The mark CAS (line 91) on the parent named by the DInfo word `op`,
+    /// expecting the `pupdate` word the deleter's Search read. `Ok` also
+    /// when a helper of the same deletion marked it first; otherwise
+    /// returns the word that blocked it.
+    fn mark<'g>(
+        &self,
+        op: UpdateRef<'g, K, V>,
+        guard: &'g Guard,
+    ) -> Result<(), UpdateRef<'g, K, V>> {
+        let info = record(op).as_delete();
+        let expected = info.pupdate_word(guard);
+        let mark_word = op.with_tag(State::Mark.tag());
+        self.bump(|st| &st.mark_attempts);
+        // AcqRel: Release publishes the Mark (pointing at the already-
+        // published DInfo); failure is Acquire because the observed word is
+        // helped (dereferenced) before the backtrack, and success must be
+        // at least as strong on the read side as failure (enforced by
+        // nbbst-lint).
+        match info.nodes().1.update.compare_exchange(
+            expected,
+            mark_word,
+            AtomicOrdering::AcqRel,
+            AtomicOrdering::Acquire,
+            guard,
+        ) {
+            Ok(_) => {
+                self.bump(|st| &st.mark_success);
+                // SAFETY: our mark displaced `expected` from `p`.
+                unsafe { self.retire_displaced(expected, guard) };
+                Ok(())
             }
-            State::Clean => {}
+            Err(e) if e.current == mark_word => Ok(()),
+            Err(e) => Err(e.current),
         }
     }
 
-    /// `HelpInsert(op)` (lines 63–68): perform the ichild and iunflag CAS
-    /// steps described by an IInfo record.
-    pub(crate) fn help_insert(&self, op: UpdateRef<'_, K, V>, guard: &Guard) {
-        self.bump(|st| &st.help_insert_calls);
-        let op = op.with_tag(0);
-        // SAFETY: `op` was read from (or just installed into) a flagged
-        // update word under `guard`; Info records are retired only once a
-        // later flag displaces them from a Clean word, so it is live here.
-        let info = unsafe { op.deref() }.as_insert();
-        // SAFETY: `p` cannot be unlinked while flagged, and the replacement
-        // is unlinked only after the iunflag, both after our read of the
-        // flagged word; `l` is only compared, never dereferenced.
-        let p = unsafe { &*info.p };
+    /// The backtrack CAS (line 98): after a failed mark, removes the DInfo
+    /// word `op`'s flag from the grandparent so the Delete can retry.
+    /// Returns whether this call performed it.
+    fn backtrack(&self, op: UpdateRef<'_, K, V>, guard: &Guard) -> bool {
+        let gp = record(op).as_delete().nodes().0;
+        // Release pairs with the Acquire loads of helpers that observe
+        // Clean; the failure value is ignored.
+        let won = gp
+            .update
+            .compare_exchange(
+                op.with_tag(State::DFlag.tag()),
+                op.with_tag(State::Clean.tag()),
+                AtomicOrdering::Release,
+                AtomicOrdering::Relaxed,
+                guard,
+            )
+            .is_ok();
+        if won {
+            self.bump(|st| &st.backtrack_success);
+        }
+        won
+    }
+
+    /// The ichild CAS (line 66, via CAS-Child): swings the flagged parent
+    /// named by the IInfo word `op` from its leaf to the replacement. The
+    /// unique winner retires the leaf. Returns whether this call won.
+    fn ichild(&self, op: UpdateRef<'_, K, V>, guard: &Guard) -> bool {
+        let info = record(op).as_insert();
         let l = info.leaf_word();
-
-        // Line 66: the ichild CAS (via CAS-Child). At most one helper's CAS
-        // succeeds; that helper retires the replaced leaf.
-        if self.cas_child(p, l, info.new_word(), guard) {
+        let won = self.cas_child(info.parent(), l, info.new_word(), guard);
+        if won {
             self.bump(|st| &st.ichild_success);
             self.bump(|st| &st.nodes_retired);
             // SAFETY: `l` has just been unlinked by our CAS and is retired
             // exactly once (only the successful CASer reaches this).
             unsafe { l.retire(guard) };
         }
+        won
+    }
 
-        // Line 67: the iunflag CAS. The record stays in the Clean word as
-        // a comparand until the next flag of `p` displaces and retires it.
-        let expected = op.with_tag(State::IFlag.tag());
-        let clean = op.with_tag(State::Clean.tag());
+    /// The iunflag CAS (line 67). The record stays in the Clean word as a
+    /// comparand until the next flag of the parent displaces and retires
+    /// it. Returns whether this call performed it.
+    fn iunflag(&self, op: UpdateRef<'_, K, V>, guard: &Guard) -> bool {
+        let p = record(op).as_insert().parent();
         // Release: a thread that Acquire-loads the Clean word must also see
         // the ichild splice that preceded it. The failure value is ignored.
-        if p.update
-            .compare_exchange(
-                expected,
-                clean,
-                AtomicOrdering::Release,
-                AtomicOrdering::Relaxed,
-                guard,
-            )
-            .is_ok()
-        {
-            self.bump(|st| &st.iunflag_success);
-        }
-    }
-
-    /// `HelpDelete(op)` (lines 90–99): try to mark the parent; on success
-    /// complete via [`NbBst::help_marked`], otherwise help the blocker and
-    /// backtrack. Returns whether the deletion completed.
-    pub(crate) fn help_delete(&self, op: UpdateRef<'_, K, V>, guard: &Guard) -> bool {
-        self.bump(|st| &st.help_delete_calls);
-        let op = op.with_tag(0);
-        // SAFETY: as in `help_insert` — read from a flagged or marked word
-        // under `guard`, and retired only once displaced later.
-        let info = unsafe { op.deref() }.as_delete();
-        // SAFETY: as above — named by a live Info record.
-        let (p, gp) = unsafe { (&*info.p, &*info.gp) };
-
-        // Line 91: the mark CAS, expecting the pupdate word the deleter's
-        // Search observed.
-        let expected = info.pupdate_word(guard);
-        let mark_word = op.with_tag(State::Mark.tag());
-        self.bump(|st| &st.mark_attempts);
-        // AcqRel: Release publishes the Mark (pointing at the already-
-        // published DInfo); failure is Acquire because the observed word is
-        // helped (dereferenced) in the backtrack arm below, and success
-        // must be at least as strong on the read side as failure
-        // (enforced by nbbst-lint).
-        let outcome = p.update.compare_exchange(
-            expected,
-            mark_word,
-            AtomicOrdering::AcqRel,
-            AtomicOrdering::Acquire,
-            guard,
-        );
-
-        let current = match outcome {
-            Ok(_) => {
-                self.bump(|st| &st.mark_success);
-                // SAFETY: our mark displaced `expected` from `p`.
-                unsafe { self.retire_displaced(expected, guard) };
-                None
-            }
-            // A helper of this same operation already marked `p`.
-            Err(e) if e.current == mark_word => None,
-            Err(e) => Some(e.current),
-        };
-        let Some(current) = current else {
-            // Line 92: `op→p` is successfully marked; complete the deletion.
-            self.help_marked(op, guard); //                line 93
-            return true; //                                line 94
-        };
-        // Line 97: help the operation that caused the failure.
-        self.help(current, guard);
-        // Line 98: the backtrack CAS removes our flag so the Delete can
-        // retry from scratch.
-        let dflag = op.with_tag(State::DFlag.tag());
-        let clean = op.with_tag(State::Clean.tag());
-        // Release pairs with the Acquire loads of helpers that observe
-        // Clean; the failure value is ignored.
-        if gp
+        let won = p
             .update
             .compare_exchange(
-                dflag,
-                clean,
+                op.with_tag(State::IFlag.tag()),
+                op.with_tag(State::Clean.tag()),
                 AtomicOrdering::Release,
                 AtomicOrdering::Relaxed,
                 guard,
             )
-            .is_ok()
-        {
-            self.bump(|st| &st.backtrack_success);
+            .is_ok();
+        if won {
+            self.bump(|st| &st.iunflag_success);
         }
-        false //                                           line 99
+        won
     }
 
-    /// `HelpMarked(op)` (lines 100–106): splice the marked parent out of
-    /// the tree (dchild CAS) and unflag the grandparent (dunflag CAS).
-    pub(crate) fn help_marked(&self, op: UpdateRef<'_, K, V>, guard: &Guard) {
-        self.bump(|st| &st.help_marked_calls);
-        let op = op.with_tag(0);
-        // SAFETY: `op` is a live, guard-protected DInfo record (retired
-        // only once displaced from its grandparent's Clean word, after we
-        // read it marked or flagged), and the nodes it names outlive it.
-        let info = unsafe { op.deref() }.as_delete();
-        // SAFETY: as above — named by a live Info record.
-        let (p, gp) = unsafe { (&*info.p, &*info.gp) };
+    /// The dchild CAS (line 105, via CAS-Child): splices the marked parent
+    /// named by the DInfo word `op` out of the tree, replacing it by the
+    /// sibling of the deleted leaf (lines 103–104). The unique winner
+    /// retires the parent and the leaf. Returns whether this call won.
+    fn dchild(&self, op: UpdateRef<'_, K, V>, guard: &Guard) -> bool {
+        let info = record(op).as_delete();
+        let (gp, p) = info.nodes();
         let l = info.leaf_word();
-
-        // Lines 103–104: `other` := the sibling of the leaf being deleted.
-        // `p` is marked, so its child pointers are frozen; both loads see
+        // `p` is marked, so its child words are frozen; both loads see
         // final values.
         let right = p.load_child(false, guard);
         let other = if right == l {
@@ -644,11 +578,9 @@ where
         } else {
             right
         };
-
-        // Line 105: the dchild CAS. The unique winner retires the two
-        // removed nodes (the marked parent and the deleted leaf).
-        let p_word = internal_ptr(info.p);
-        if self.cas_child(gp, p_word, other, guard) {
+        let p_word = internal_ptr(p);
+        let won = self.cas_child(gp, p_word, other, guard);
+        if won {
             self.bump(|st| &st.dchild_success);
             self.bump(|st| &st.nodes_retired);
             self.bump(|st| &st.nodes_retired);
@@ -659,53 +591,33 @@ where
                 l.retire(guard);
             }
         }
+        won
+    }
 
-        // Line 106: the dunflag CAS.
-        let dflag = op.with_tag(State::DFlag.tag());
-        let clean = op.with_tag(State::Clean.tag());
+    /// The dunflag CAS (line 106). Returns whether this call performed it.
+    fn dunflag(&self, op: UpdateRef<'_, K, V>, guard: &Guard) -> bool {
+        let gp = record(op).as_delete().nodes().0;
         // Release: a thread that Acquire-loads the Clean word must also see
         // the dchild splice that preceded it. The failure value is ignored.
-        if gp
+        let won = gp
             .update
             .compare_exchange(
-                dflag,
-                clean,
+                op.with_tag(State::DFlag.tag()),
+                op.with_tag(State::Clean.tag()),
                 AtomicOrdering::Release,
                 AtomicOrdering::Relaxed,
                 guard,
             )
-            .is_ok()
-        {
+            .is_ok();
+        if won {
             self.bump(|st| &st.dunflag_success);
         }
-    }
-
-    /// Retires the Info record of `word`, a Clean update word the caller's
-    /// successful flag or mark CAS just replaced.
-    ///
-    /// Retiring here, not at the record's own unflag or backtrack, keeps
-    /// the record allocated for as long as its pointer sits in an update
-    /// word. An attempt that read the word is pinned from before the
-    /// displacement, so the address cannot be reused under it, and its
-    /// flag CAS cannot succeed against a recycled record: the Info-record
-    /// ABA of DESIGN.md §2. A DInfo also stays in its marked parent's
-    /// word, but that parent was unlinked before the DInfo's grandparent
-    /// word could be displaced, and no CAS ever expects a Mark word.
-    ///
-    /// # Safety
-    ///
-    /// The caller's CAS displaced `word`, so it retires the record once.
-    pub(crate) unsafe fn retire_displaced(&self, word: UpdateRef<'_, K, V>, guard: &Guard) {
-        if !word.is_null() {
-            self.bump(|st| &st.infos_retired);
-            // SAFETY: per the contract: displaced once, by the caller.
-            unsafe { guard.defer_destroy(word.with_tag(0)) };
-        }
+        won
     }
 
     /// `CAS-Child(parent, old, new)` (lines 113–118): pick the left or
     /// right child slot by comparing keys, then CAS it.
-    pub(crate) fn cas_child(
+    fn cas_child(
         &self,
         parent: &Internal<K, V>,
         old: NodePtr<'_, K, V>,
@@ -730,6 +642,324 @@ where
             guard,
         )
         .is_ok()
+    }
+
+    /// Retires the Info record of `word`, a Clean update word the caller's
+    /// successful flag or mark CAS just replaced.
+    ///
+    /// Retiring here, not at the record's own unflag or backtrack, keeps
+    /// the record allocated for as long as its pointer sits in an update
+    /// word. An attempt that read the word is pinned from before the
+    /// displacement, so the address cannot be reused under it, and its
+    /// flag CAS cannot succeed against a recycled record: the Info-record
+    /// ABA of DESIGN.md §2. A DInfo also stays in its marked parent's
+    /// word, but that parent was unlinked before the DInfo's grandparent
+    /// word could be displaced, and no CAS ever expects a Mark word.
+    ///
+    /// # Safety
+    ///
+    /// The caller's CAS displaced `word`, so it retires the record once.
+    unsafe fn retire_displaced(&self, word: UpdateRef<'_, K, V>, guard: &Guard) {
+        if !word.is_null() {
+            self.bump(|st| &st.infos_retired);
+            // SAFETY: per the contract: displaced once, by the caller.
+            unsafe { guard.defer_destroy(word.with_tag(0)) };
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Helping (Figure 8 lines 63–68, Figure 9 lines 90–112)
+    // ------------------------------------------------------------------
+
+    /// `Help(u)` (lines 107–112): dispatch on the state packed in `u`.
+    fn help(&self, u: UpdateRef<'_, K, V>, guard: &Guard) {
+        self.bump(|st| &st.helps);
+        match u.state() {
+            State::IFlag => self.help_insert(u, guard),
+            State::Mark => self.help_marked(u, guard),
+            State::DFlag => self.help_delete(u, guard),
+            State::Clean => {}
+        }
+    }
+
+    /// `HelpInsert(op)` (lines 63–68): the ichild and iunflag steps of
+    /// another thread's leaf replacement.
+    fn help_insert(&self, op: UpdateRef<'_, K, V>, guard: &Guard) {
+        self.bump(|st| &st.help_insert_calls);
+        self.ichild(op, guard);
+        self.iunflag(op, guard);
+    }
+
+    /// `HelpDelete(op)` (lines 90–99): mark the parent and complete the
+    /// deletion, or help whoever blocked the mark (line 97) and backtrack.
+    fn help_delete(&self, op: UpdateRef<'_, K, V>, guard: &Guard) {
+        self.bump(|st| &st.help_delete_calls);
+        match self.mark(op, guard) {
+            Ok(()) => self.help_marked(op, guard),
+            Err(current) => {
+                self.help(current, guard);
+                self.backtrack(op, guard);
+            }
+        }
+    }
+
+    /// `HelpMarked(op)` (lines 100–106): the dchild and dunflag steps.
+    pub(crate) fn help_marked(&self, op: UpdateRef<'_, K, V>, guard: &Guard) {
+        self.bump(|st| &st.help_marked_calls);
+        self.dchild(op, guard);
+        self.dunflag(op, guard);
+    }
+}
+
+/// The Info record an update word names.
+fn record<'g, K, V>(op: UpdateRef<'g, K, V>) -> &'g Info<K, V> {
+    // SAFETY: every caller passes a word read (or installed) under the
+    // guard `'g` while it was flagged or marked with this record, which
+    // is retired only once a later flag displaces it from a Clean word,
+    // after that read.
+    unsafe { op.with_tag(0).deref() }
+}
+
+/// The step an [`Update`] takes next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Step {
+    /// `Search` (lines 49–51, 75–78).
+    Search,
+    /// `Help` the operation whose update word blocked the last step (lines
+    /// 51, 61, 77, 78, 85 and 97).
+    Help,
+    /// The iflag CAS (line 56), or the dflag CAS (line 81).
+    Flag,
+    /// The mark CAS (line 91).
+    Mark,
+    /// The ichild CAS (line 66), or the dchild CAS (line 105).
+    Child,
+    /// The iunflag CAS (line 67), or the dunflag CAS (line 106).
+    Unflag,
+    /// The backtrack CAS (line 98).
+    Backtrack,
+    /// Finished, with the operation's result.
+    Done(bool),
+}
+
+/// One `Insert` or `Delete`, as a machine that takes one [`Step`] at a
+/// time: the only implementation of the paper's update control flow.
+///
+/// The public operations step it to completion; the drivers in
+/// [`crate::raw`] step it under test control. An Insert, and a Delete
+/// whose leaf keeps other entries, run `Flag → Child → Unflag` as iflag,
+/// ichild and iunflag; a Delete that would empty its leaf runs `Flag →
+/// Mark → Child → Unflag` as dflag, mark, dchild and dunflag. A failed
+/// flag or mark is followed by a `Help` step over the word that blocked
+/// it, then by a new `Search` or the `Backtrack`.
+///
+/// The machine stores the words its steps read as plain bits, valid only
+/// under the guard of the attempt that read them (see [`Update::step`]).
+pub(crate) struct Update<K, V> {
+    next: Step,
+    /// Whether this attempt runs the deletion circuit.
+    splice: bool,
+    // What the last Search found (`SearchResult`, as plain words).
+    gp: *const Internal<K, V>,
+    p: *const Internal<K, V>,
+    leaf: *const Leaf<K, V>,
+    pupdate: usize,
+    gpupdate: usize,
+    /// The update word the `Help` step helps.
+    blocker: usize,
+    /// This attempt's flagged Info word; 0 before its flag and after a
+    /// backtrack.
+    info: usize,
+}
+
+impl<K, V> Update<K, V> {
+    /// An update whose first step is its Search.
+    pub(crate) fn new() -> Update<K, V> {
+        Update {
+            next: Step::Search,
+            splice: false,
+            gp: std::ptr::null(),
+            p: std::ptr::null(),
+            leaf: std::ptr::null(),
+            pupdate: 0,
+            gpupdate: 0,
+            blocker: 0,
+            info: 0,
+        }
+    }
+
+    /// The step [`Update::step`] takes next.
+    pub(crate) fn next(&self) -> Step {
+        self.next
+    }
+
+    /// Whether this attempt runs the deletion circuit (a Delete that
+    /// empties its leaf) rather than a leaf replacement.
+    pub(crate) fn splices(&self) -> bool {
+        self.splice
+    }
+
+    /// Whether this attempt's flag CAS succeeded (and no backtrack has
+    /// undone it).
+    pub(crate) fn is_flagged(&self) -> bool {
+        self.info != 0
+    }
+
+    /// What the last Search found.
+    ///
+    /// # Safety
+    ///
+    /// A Search has run, and `guard` is the guard of the current attempt
+    /// (see [`Update::step`]).
+    pub(crate) unsafe fn found<'g>(&self, _guard: &'g Guard) -> SearchResult<'g, K, V> {
+        // SAFETY: per the contract, this attempt's Search read these words
+        // under `guard`, so every node and record they name is live.
+        unsafe {
+            SearchResult {
+                gp: self.gp.as_ref(),
+                p: &*self.p,
+                leaf: &*self.leaf,
+                pupdate: Shared::from_data(self.pupdate),
+                gpupdate: Shared::from_data(self.gpupdate),
+            }
+        }
+    }
+
+    /// The update word the pending `Help` step helps.
+    ///
+    /// # Safety
+    ///
+    /// As for [`Update::found`].
+    pub(crate) unsafe fn blocker<'g>(&self, _guard: &'g Guard) -> UpdateRef<'g, K, V> {
+        // SAFETY: per the contract, read under `guard` by a step of this
+        // attempt.
+        unsafe { Shared::from_data(self.blocker) }
+    }
+}
+
+impl<K: Ord + Clone, V: Clone> Update<K, V> {
+    /// Takes the next step of `edit` on `tree`. Returns whether the step's
+    /// CAS succeeded (`true` for a Search or a Help step).
+    ///
+    /// # Safety
+    ///
+    /// `guard` is the guard of the current attempt: pinned before the
+    /// attempt's Search step and passed to every step since.
+    pub(crate) unsafe fn step(
+        &mut self,
+        tree: &NbBst<K, V>,
+        edit: Edit<'_, K, V>,
+        guard: &Guard,
+    ) -> bool {
+        // SAFETY: this attempt's flag installed the word under `guard`
+        // (or it is null), per the contract.
+        let op: UpdateRef<'_, K, V> = unsafe { Shared::from_data(self.info) };
+        let mut won = true;
+        self.next = match self.next {
+            Step::Search => {
+                let s = tree.search(edit.key(), guard);
+                self.gp = s.gp.map_or(std::ptr::null(), |gp| gp as *const _);
+                self.p = s.p;
+                self.leaf = s.leaf;
+                self.pupdate = s.pupdate.into_data();
+                self.gpupdate = s.gpupdate.into_data();
+                let inserting = matches!(edit, Edit::Insert(..));
+                if s.leaf.get(edit.key()).is_some() == inserting {
+                    // Line 50: a duplicate key; line 76: an absent one.
+                    tree.count_done(edit, false, false);
+                    Step::Done(false)
+                } else {
+                    // Only a Delete that empties its leaf flags the
+                    // grandparent (lines 77–78); the others flag only the
+                    // parent (line 51).
+                    self.splice = !inserting && s.leaf.len() == 1;
+                    let blocker = if self.splice && s.gpupdate.state() != State::Clean {
+                        s.gpupdate
+                    } else {
+                        s.pupdate
+                    };
+                    self.blocker = blocker.into_data();
+                    if blocker.state() == State::Clean {
+                        Step::Flag
+                    } else {
+                        Step::Help
+                    }
+                }
+            }
+            Step::Help => {
+                // SAFETY: per the contract.
+                tree.help(unsafe { self.blocker(guard) }, guard);
+                if self.is_flagged() {
+                    Step::Backtrack
+                } else {
+                    tree.count_retry(edit);
+                    Step::Search
+                }
+            }
+            Step::Flag => {
+                // SAFETY: per the contract; the Search has run.
+                let s = unsafe { self.found(guard) };
+                let flagged = if self.splice {
+                    tree.dflag(&s, guard)
+                } else {
+                    tree.iflag(&s, s.leaf.replacement(edit, tree.leaf_capacity), guard)
+                };
+                match flagged {
+                    Ok(info) => {
+                        self.info = info.into_data();
+                        if self.splice {
+                            Step::Mark
+                        } else {
+                            // A flagged leaf replacement always completes
+                            // (Section 3), so it counts as done now.
+                            tree.count_done(edit, true, matches!(edit, Edit::Remove(_)));
+                            Step::Child
+                        }
+                    }
+                    Err(current) => {
+                        won = false;
+                        self.blocker = current.into_data();
+                        Step::Help
+                    }
+                }
+            }
+            Step::Mark => match tree.mark(op, guard) {
+                Ok(()) => {
+                    // Once marked, the deletion always completes.
+                    tree.count_done(edit, true, false);
+                    Step::Child
+                }
+                Err(current) => {
+                    won = false;
+                    self.blocker = current.into_data();
+                    Step::Help
+                }
+            },
+            Step::Child => {
+                won = if self.splice {
+                    tree.dchild(op, guard)
+                } else {
+                    tree.ichild(op, guard)
+                };
+                Step::Unflag
+            }
+            Step::Unflag => {
+                won = if self.splice {
+                    tree.dunflag(op, guard)
+                } else {
+                    tree.iunflag(op, guard)
+                };
+                Step::Done(true)
+            }
+            Step::Backtrack => {
+                won = tree.backtrack(op, guard);
+                self.info = 0;
+                tree.count_retry(edit);
+                Step::Search
+            }
+            done @ Step::Done(_) => done,
+        };
+        won
     }
 }
 

@@ -59,7 +59,6 @@ mod deferred;
 mod epoch;
 pub mod hazard;
 mod primitives;
-pub mod sync;
 
 pub use atomic::{low_bits, Atomic, CompareExchangeError, Owned, Pointer, Shared};
 pub use epoch::{unprotected, Collector, Guard, LocalHandle, ReclaimStats};

@@ -13,7 +13,7 @@
 //! answer must equal that constant; if a concurrent update flips it, both
 //! answers are legal.
 
-use nbbst::core::raw::{DeleteSearch, InsertSearch, MarkOutcome, RawDelete, RawFind, RawInsert};
+use nbbst::core::raw::{RawFind, Stepper};
 use nbbst::NbBst;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,85 +22,11 @@ enum Op {
     Delete(u64),
 }
 
-enum Upd<'t> {
-    Ins(RawInsert<'t, u64, u64>, u8),
-    Del(RawDelete<'t, u64, u64>, u8),
-    Done,
-}
-
-impl<'t> Upd<'t> {
-    fn new(tree: &'t NbBst<u64, u64>, op: Op) -> Upd<'t> {
-        match op {
-            Op::Insert(k) => Upd::Ins(RawInsert::new(tree, k, k), 0),
-            Op::Delete(k) => Upd::Del(RawDelete::new(tree, k), 0),
-        }
-    }
-    fn is_done(&self) -> bool {
-        matches!(self, Upd::Done)
-    }
-    fn step(&mut self) {
-        let next = match std::mem::replace(self, Upd::Done) {
-            Upd::Ins(mut i, p) => match p {
-                0 => match i.search() {
-                    InsertSearch::Duplicate => Upd::Done,
-                    InsertSearch::Busy(_) => {
-                        i.help_blocker();
-                        Upd::Ins(i, 0)
-                    }
-                    InsertSearch::Ready => Upd::Ins(i, 1),
-                },
-                1 => {
-                    if i.flag() {
-                        Upd::Ins(i, 2)
-                    } else {
-                        Upd::Ins(i, 0)
-                    }
-                }
-                2 => {
-                    i.execute_child();
-                    Upd::Ins(i, 3)
-                }
-                _ => {
-                    i.unflag();
-                    Upd::Done
-                }
-            },
-            Upd::Del(mut d, p) => match p {
-                0 => match d.search() {
-                    DeleteSearch::NotFound => Upd::Done,
-                    DeleteSearch::Busy(_) => {
-                        d.help_blocker();
-                        Upd::Del(d, 0)
-                    }
-                    DeleteSearch::Ready => Upd::Del(d, 1),
-                },
-                1 => {
-                    if d.flag() {
-                        Upd::Del(d, 2)
-                    } else {
-                        Upd::Del(d, 0)
-                    }
-                }
-                2 => match d.mark() {
-                    MarkOutcome::Marked => Upd::Del(d, 3),
-                    MarkOutcome::Failed => Upd::Del(d, 5),
-                },
-                5 => {
-                    d.backtrack();
-                    Upd::Del(d, 0)
-                }
-                3 => {
-                    d.execute_child();
-                    Upd::Del(d, 4)
-                }
-                _ => {
-                    d.unflag();
-                    Upd::Done
-                }
-            },
-            done => done,
-        };
-        *self = next;
+/// The update as a stepped driver of the shipped control flow.
+fn stepper(tree: &NbBst<u64, u64>, op: Op) -> Stepper<'_, u64, u64> {
+    match op {
+        Op::Insert(k) => Stepper::insert(tree, k, k),
+        Op::Delete(k) => Stepper::delete(tree, k),
     }
 }
 
@@ -111,15 +37,15 @@ fn run_schedule(initial: &[u64], find_key: u64, update: Op, schedule: u64) -> bo
         tree.insert_entry(k, k).unwrap();
     }
     let mut find = RawFind::new(&tree, find_key);
-    let mut upd = Upd::new(&tree, update);
+    let mut upd = stepper(&tree, update);
     let mut find_done = false;
     let mut steps = 0u32;
-    while !find_done || !upd.is_done() {
+    while !find_done || !upd.is_finished() {
         assert!(steps < 64, "schedule {schedule:#b} diverged");
         let pick_find = (schedule >> steps) & 1 == 0;
         if pick_find && !find_done {
             find_done = find.step();
-        } else if !upd.is_done() {
+        } else if !upd.is_finished() {
             upd.step();
         } else {
             find_done = find.step();

@@ -1,10 +1,12 @@
 //! Exhaustive CAS-step interleaving exploration ("mini model checker").
 //!
 //! The paper's proof argues over interleavings of individual CAS steps.
-//! Loom is not in the dependency budget, so this test enumerates — for
-//! pairs of conflicting operations on small trees — **every** interleaving
-//! of their CAS steps (search/flag/mark/child/unflag/backtrack, via the
-//! stepped `raw` drivers), and asserts for each complete schedule:
+//! The loom suite (`crates/core/tests/loom_protocol.rs`) explores
+//! interleavings of the individual atomic accesses, for a few scenarios;
+//! this test enumerates — for pairs of conflicting
+//! operations on small trees — **every** interleaving of their protocol
+//! steps (search/flag/mark/child/unflag/backtrack and help passes), and
+//! asserts for each complete schedule:
 //!
 //! 1. both operations terminate (with bounded retries),
 //! 2. the final key set equals the sequential result (for the commutative
@@ -14,10 +16,11 @@
 //!
 //! Each schedule is replayed from a fresh tree, driven by a decision
 //! string: at step `i`, bit `i` of the schedule id says which operation
-//! advances. Operations advance through the *real* algorithm's control
-//! flow (retrying after failed flags, backtracking after failed marks).
+//! advances. Each operation is a `raw::Stepper`, which takes one step at a
+//! time of the same machine `insert_entry` and `remove_key` run (helping
+//! after failed flags and marks, backtracking, retrying).
 
-use nbbst::core::raw::{DeleteSearch, InsertSearch, MarkOutcome, RawDelete, RawInsert};
+use nbbst::core::raw::Stepper;
 use nbbst::NbBst;
 use std::collections::BTreeSet;
 
@@ -28,116 +31,11 @@ enum Op {
     Delete(u64),
 }
 
-/// A stepped operation mid-flight.
-enum Driver<'t> {
-    Insert(RawInsert<'t, u64, u64>, InsPhase),
-    Delete(RawDelete<'t, u64, u64>, DelPhase),
-    /// Finished (the boolean outcome is not consulted by the checker;
-    /// final-state validation covers it).
-    Done(#[allow(dead_code)] bool),
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(clippy::enum_variant_names)] // Need* mirrors the pending CAS step
-enum InsPhase {
-    NeedSearch,
-    NeedFlag,
-    NeedChild,
-    NeedUnflag,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(clippy::enum_variant_names)]
-enum DelPhase {
-    NeedSearch,
-    NeedFlag,
-    NeedMark,
-    NeedChild,
-    NeedUnflag,
-    NeedBacktrack,
-}
-
-impl<'t> Driver<'t> {
-    fn new(tree: &'t NbBst<u64, u64>, op: Op) -> Driver<'t> {
-        match op {
-            Op::Insert(k) => Driver::Insert(RawInsert::new(tree, k, k), InsPhase::NeedSearch),
-            Op::Delete(k) => Driver::Delete(RawDelete::new(tree, k), DelPhase::NeedSearch),
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        matches!(self, Driver::Done(_))
-    }
-
-    /// Advances by exactly one step of the real algorithm. A `Busy` search
-    /// outcome *re-searches* on the next step (the real code would help;
-    /// with only two ops, the blocker either finishes by itself in this
-    /// schedule or — if it crashed — helping is covered by other tests).
-    fn step(&mut self) {
-        let next = match std::mem::replace(self, Driver::Done(false)) {
-            Driver::Insert(mut ins, phase) => match phase {
-                InsPhase::NeedSearch => match ins.search() {
-                    InsertSearch::Duplicate => Driver::Done(false),
-                    InsertSearch::Busy(_) => {
-                        // Line 51: help the blocker, restart the attempt.
-                        ins.help_blocker();
-                        Driver::Insert(ins, InsPhase::NeedSearch)
-                    }
-                    InsertSearch::Ready => Driver::Insert(ins, InsPhase::NeedFlag),
-                },
-                InsPhase::NeedFlag => {
-                    if ins.flag() {
-                        Driver::Insert(ins, InsPhase::NeedChild)
-                    } else {
-                        Driver::Insert(ins, InsPhase::NeedSearch)
-                    }
-                }
-                InsPhase::NeedChild => {
-                    ins.execute_child();
-                    Driver::Insert(ins, InsPhase::NeedUnflag)
-                }
-                InsPhase::NeedUnflag => {
-                    ins.unflag();
-                    Driver::Done(true)
-                }
-            },
-            Driver::Delete(mut del, phase) => match phase {
-                DelPhase::NeedSearch => match del.search() {
-                    DeleteSearch::NotFound => Driver::Done(false),
-                    DeleteSearch::Busy(_) => {
-                        // Lines 77-78: help the blocker, restart.
-                        del.help_blocker();
-                        Driver::Delete(del, DelPhase::NeedSearch)
-                    }
-                    DeleteSearch::Ready => Driver::Delete(del, DelPhase::NeedFlag),
-                },
-                DelPhase::NeedFlag => {
-                    if del.flag() {
-                        Driver::Delete(del, DelPhase::NeedMark)
-                    } else {
-                        Driver::Delete(del, DelPhase::NeedSearch)
-                    }
-                }
-                DelPhase::NeedMark => match del.mark() {
-                    MarkOutcome::Marked => Driver::Delete(del, DelPhase::NeedChild),
-                    MarkOutcome::Failed => Driver::Delete(del, DelPhase::NeedBacktrack),
-                },
-                DelPhase::NeedBacktrack => {
-                    del.backtrack();
-                    Driver::Delete(del, DelPhase::NeedSearch)
-                }
-                DelPhase::NeedChild => {
-                    del.execute_child();
-                    Driver::Delete(del, DelPhase::NeedUnflag)
-                }
-                DelPhase::NeedUnflag => {
-                    del.unflag();
-                    Driver::Done(true)
-                }
-            },
-            done => done,
-        };
-        *self = next;
+/// The operation as a stepped driver of the shipped control flow.
+fn stepper(tree: &NbBst<u64, u64>, op: Op) -> Stepper<'_, u64, u64> {
+    match op {
+        Op::Insert(k) => Stepper::insert(tree, k, k),
+        Op::Delete(k) => Stepper::delete(tree, k),
     }
 }
 
@@ -172,19 +70,19 @@ fn run_schedule(initial: &[u64], a: Op, b: Op, schedule: u64) -> u32 {
     for &k in initial {
         tree.insert_entry(k, k).unwrap();
     }
-    let mut da = Driver::new(&tree, a);
-    let mut db = Driver::new(&tree, b);
+    let mut da = stepper(&tree, a);
+    let mut db = stepper(&tree, b);
 
     let mut steps = 0u32;
-    while !(da.is_done() && db.is_done()) {
+    while !(da.is_finished() && db.is_finished()) {
         assert!(
             steps < 64,
             "schedule {schedule:#b} for {a:?} || {b:?} did not terminate"
         );
         let pick_a = (schedule >> steps) & 1 == 0;
-        if pick_a && !da.is_done() {
+        if pick_a && !da.is_finished() {
             da.step();
-        } else if !db.is_done() {
+        } else if !db.is_finished() {
             db.step();
         } else {
             da.step();

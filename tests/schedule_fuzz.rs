@@ -9,7 +9,7 @@
 //! admissible linearization), and the tree must satisfy its structural
 //! and Figure-4 invariants.
 
-use nbbst::core::raw::{DeleteSearch, InsertSearch, MarkOutcome, RawDelete, RawInsert};
+use nbbst::core::raw::Stepper;
 use nbbst::NbBst;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -21,90 +21,11 @@ enum Op {
     Delete(u64),
 }
 
-enum Driver<'t> {
-    Insert(RawInsert<'t, u64, u64>, u8),
-    Delete(RawDelete<'t, u64, u64>, u8),
-    Done,
-}
-
-impl<'t> Driver<'t> {
-    fn new(tree: &'t NbBst<u64, u64>, op: Op) -> Driver<'t> {
-        match op {
-            Op::Insert(k) => Driver::Insert(RawInsert::new(tree, k, k), 0),
-            Op::Delete(k) => Driver::Delete(RawDelete::new(tree, k), 0),
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        matches!(self, Driver::Done)
-    }
-
-    fn step(&mut self) {
-        // Phases — insert: 0 search, 1 flag, 2 child, 3 unflag;
-        //          delete: 0 search, 1 flag, 2 mark, 3 child, 4 unflag,
-        //                  5 backtrack.
-        let next = match std::mem::replace(self, Driver::Done) {
-            Driver::Insert(mut ins, phase) => match phase {
-                0 => match ins.search() {
-                    InsertSearch::Duplicate => Driver::Done,
-                    InsertSearch::Busy(_) => {
-                        ins.help_blocker();
-                        Driver::Insert(ins, 0)
-                    }
-                    InsertSearch::Ready => Driver::Insert(ins, 1),
-                },
-                1 => {
-                    if ins.flag() {
-                        Driver::Insert(ins, 2)
-                    } else {
-                        Driver::Insert(ins, 0)
-                    }
-                }
-                2 => {
-                    ins.execute_child();
-                    Driver::Insert(ins, 3)
-                }
-                _ => {
-                    ins.unflag();
-                    Driver::Done
-                }
-            },
-            Driver::Delete(mut del, phase) => match phase {
-                0 => match del.search() {
-                    DeleteSearch::NotFound => Driver::Done,
-                    DeleteSearch::Busy(_) => {
-                        del.help_blocker();
-                        Driver::Delete(del, 0)
-                    }
-                    DeleteSearch::Ready => Driver::Delete(del, 1),
-                },
-                1 => {
-                    if del.flag() {
-                        Driver::Delete(del, 2)
-                    } else {
-                        Driver::Delete(del, 0)
-                    }
-                }
-                2 => match del.mark() {
-                    MarkOutcome::Marked => Driver::Delete(del, 3),
-                    MarkOutcome::Failed => Driver::Delete(del, 5),
-                },
-                3 => {
-                    del.execute_child();
-                    Driver::Delete(del, 4)
-                }
-                5 => {
-                    del.backtrack();
-                    Driver::Delete(del, 0)
-                }
-                _ => {
-                    del.unflag();
-                    Driver::Done
-                }
-            },
-            done => done,
-        };
-        *self = next;
+/// The operation as a stepped driver of the shipped control flow.
+fn stepper(tree: &NbBst<u64, u64>, op: Op) -> Stepper<'_, u64, u64> {
+    match op {
+        Op::Insert(k) => Stepper::insert(tree, k, k),
+        Op::Delete(k) => Stepper::delete(tree, k),
     }
 }
 
@@ -150,16 +71,17 @@ fn run_random_schedule(initial: &[u64], ops: &[Op], seed: u64) {
     for &k in initial {
         tree.insert_entry(k, k).unwrap();
     }
-    let mut drivers: Vec<Driver<'_>> = ops.iter().map(|&op| Driver::new(&tree, op)).collect();
+    let mut drivers: Vec<Stepper<'_, u64, u64>> =
+        ops.iter().map(|&op| stepper(&tree, op)).collect();
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut steps = 0;
-    while drivers.iter().any(|d| !d.is_done()) {
+    while drivers.iter().any(|d| !d.is_finished()) {
         steps += 1;
         assert!(steps < 512, "seed {seed}: schedule did not terminate");
         let live: Vec<usize> = drivers
             .iter()
             .enumerate()
-            .filter(|(_, d)| !d.is_done())
+            .filter(|(_, d)| !d.is_finished())
             .map(|(i, _)| i)
             .collect();
         let pick = live[rng.gen_range(0..live.len())];
