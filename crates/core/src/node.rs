@@ -136,7 +136,8 @@ impl<'g, K, V> NodePtrExt<'g, K, V> for NodePtr<'g, K, V> {
             // node of the subtree.
             let ptr: NodePtr<'_, K, V> = unsafe { Shared::from_data(word) };
             if ptr.is_leaf() {
-                // SAFETY: allocated by `Box` in `leaf_ptr`'s caller.
+                // SAFETY: a `Box` allocation (`alloc_box` in
+                // `Leaf::into_ptr`).
                 unsafe { drop(Box::from_raw(ptr.as_raw() as *mut Leaf<K, V>)) };
             } else {
                 // SAFETY: as above, for `internal_ptr`.
@@ -189,9 +190,10 @@ impl<K, V> Internal<K, V> {
         node
     }
 
-    /// Moves the node to the heap; returns its (unpublished) child word.
+    /// Moves the node to the heap (a recycled block when this thread has
+    /// one); returns its (unpublished) child word.
     pub(crate) fn into_ptr<'g>(self) -> NodePtr<'g, K, V> {
-        internal_ptr(Box::into_raw(Box::new(self)))
+        internal_ptr(nbbst_reclaim::alloc_box(self))
     }
 
     /// Loads this node's update word.
@@ -289,9 +291,10 @@ impl<K, V> Leaf<K, V> {
         leaf
     }
 
-    /// Moves the leaf to the heap; returns its (unpublished) child word.
+    /// Moves the leaf to the heap (a recycled block when this thread has
+    /// one); returns its (unpublished) child word.
     pub(crate) fn into_ptr<'g>(self) -> NodePtr<'g, K, V> {
-        leaf_ptr(Box::into_raw(Box::new(self)))
+        leaf_ptr(nbbst_reclaim::alloc_box(self))
     }
 
     /// The real keys, ascending (empty for a sentinel leaf).

@@ -3,9 +3,10 @@
 //! This is the workload the evictable-bag registry exists for (DESIGN.md
 //! §10): a parked worker never pins again, so under a thread-local bag
 //! scheme everything it retired would be stranded until thread exit or
-//! collector teardown. With the registry, every outermost unpin publishes
-//! the worker's sealed bags to a shared lock-free list, and any later
-//! pinning thread — here the test's main thread — steals and frees them.
+//! collector teardown. Now every outermost unpin seals the worker's bag
+//! where other threads can reach it — parked in its participant slot, or,
+//! once full, published to a shared lock-free list — and any later pinning
+//! thread (here the test's main thread) steals and frees it.
 //!
 //! The CI churn job runs this test with `--nocapture` and uploads the
 //! printed `ReclaimStats` report as an artifact, so per-PR footprint
@@ -66,6 +67,10 @@ fn parked_writers_garbage_is_freed_by_unrelated_thread() {
     println!("freed during churn:  {}", before.freed);
     println!("epoch advances:      {}", stats.epoch_advances);
     println!("bags published:      {}", stats.bags_published);
+    println!(
+        "published / retired: {:.4}",
+        stats.bags_published as f64 / stats.retired as f64
+    );
     println!("bags stolen:         {}", stats.bags_stolen);
     println!("bags freed:          {}", stats.bags_freed);
     println!("deferred bytes now:  {}", stats.deferred_bytes);

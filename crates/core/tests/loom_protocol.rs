@@ -370,8 +370,8 @@ fn three_threads_insert_delete_helper() {
 /// schedule space stays small. The writer pins, forces an epoch advance
 /// *while still pinned* (so its pin epoch trails the global epoch — the
 /// seal-epoch off-by-one window), unlinks the payload, retires it, and
-/// unpins — publishing its sealed bag to the registry — then flushes three
-/// times, each flush trying to steal and free the bag. The reader pins
+/// unpins — sealing its bag and parking it in its participant slot — then
+/// flushes three times, each flush trying to steal and free the bag. The reader pins
 /// concurrently; if it observed the payload before the unlink, its pin
 /// epoch is at least the bag's seal epoch, and no steal may free the bag
 /// until it unpins: the canary deref after a yield stays valid in every
@@ -441,7 +441,7 @@ fn bag_steal_vs_concurrent_pin() {
                         // SAFETY: the CAS above unlinked `cur`; sole retire.
                         unsafe { guard.defer_destroy(cur) };
                         // Unpin: seals the bag with the fenced global epoch
-                        // and publishes it to the evictable registry.
+                        // and parks it in the participant slot.
                     }
                     // Each flush may advance the epoch, steal the registry,
                     // and free expired bags — legal only once the reader's
@@ -465,13 +465,29 @@ fn bag_steal_vs_concurrent_pin() {
 }
 
 /// Scenario 8 — **concurrent steals free exactly once**: two threads race
-/// `flush` against a registry holding published bags while a third
-/// publishes more. The whole-chain `swap` hands each stealer a disjoint
-/// chain, so no bag can be freed twice and none can be lost: the drop
-/// balance ends at zero in every interleaving.
+/// `flush` against a registry holding a published bag while a third
+/// publishes another. Each retiring pin fills a whole bag, which is what
+/// sends a bag to the registry rather than to the retirer's slot. The
+/// whole-chain `swap` hands each stealer a disjoint chain, so no bag can be
+/// freed twice and none can be lost: the drop balance ends at zero in
+/// every interleaving.
 #[test]
 fn concurrent_steals_free_exactly_once() {
-    use nbbst_reclaim::{Atomic, Collector};
+    use nbbst_reclaim::{Collector, Guard, Owned};
+
+    /// `MAX_ITEMS_PER_BAG` in `nbbst-reclaim`: the retirement that fills
+    /// the open bag publishes it.
+    const FULL_BAG: usize = 64;
+
+    /// Retires a full bag of fresh tokens. `into_shared` takes no
+    /// scheduling point, so the bag costs the model only its publication.
+    fn retire_full_bag(guard: &Guard, live: &Arc<AtomicIsize>) {
+        for _ in 0..FULL_BAG {
+            let s = Owned::new(Token::new(live)).into_shared(guard);
+            // SAFETY: never linked anywhere; sole retire.
+            unsafe { guard.defer_destroy(s) };
+        }
+    }
 
     loom::model(|| {
         let live = Arc::new(AtomicIsize::new(0));
@@ -479,24 +495,12 @@ fn concurrent_steals_free_exactly_once() {
             let collector = Arc::new(Collector::new());
             // Publish one bag up front so both stealers have something to
             // race for even if the publisher thread runs last.
-            {
-                let guard = collector.pin();
-                let a = Atomic::new(Token::new(&live));
-                let s = a.load(Ordering::Acquire, &guard);
-                // SAFETY: sole owner of the freshly made allocation.
-                unsafe { guard.defer_destroy(s) };
-            }
+            retire_full_bag(&collector.pin(), &live);
 
             let publisher = {
                 let collector = Arc::clone(&collector);
                 let live = Arc::clone(&live);
-                loom::thread::spawn(move || {
-                    let guard = collector.pin();
-                    let a = Atomic::new(Token::new(&live));
-                    let s = a.load(Ordering::Acquire, &guard);
-                    // SAFETY: sole owner of the freshly made allocation.
-                    unsafe { guard.defer_destroy(s) };
-                })
+                loom::thread::spawn(move || retire_full_bag(&collector.pin(), &live))
             };
             let stealers: Vec<_> = (0..2)
                 .map(|_| {
@@ -517,6 +521,108 @@ fn concurrent_steals_free_exactly_once() {
             live.load(Ordering::Relaxed),
             0,
             "a bag was lost or freed twice by racing stealers"
+        );
+    });
+}
+
+/// Scenario 9 — **owner retakes its parked bag while a stealer drains
+/// it** (the participant slot; DESIGN.md §10). The owner keeps one
+/// registration, unlinks and retires payload A under one pin (the unpin
+/// seals and parks the bag in its slot), flushes twice so the bag can
+/// expire, then unlinks and retires payload B under a second pin, whose
+/// first retirement takes the parked bag back unless a collection pass
+/// took it first. The other thread pins, loads A,
+/// flushes twice while still pinned and dereferences A, then unpins and
+/// flushes three more times; each flush's participant scan may steal the
+/// parked bag. In every interleaving the swap gives the bag one owner, so
+/// each payload is freed exactly once (the drop balance ends at zero), and
+/// never while the reader that loaded it before the unlink is pinned (the
+/// canary holds).
+#[test]
+fn owner_retakes_parked_bag_while_stealer_drains() {
+    use nbbst_reclaim::{Atomic, Collector, Shared};
+
+    const CANARY: u64 = 0x5107_BA65;
+    struct Payload {
+        canary: u64,
+        _token: Token,
+    }
+
+    fn unlink_and_retire(slot: &Atomic<Payload>, guard: &nbbst_reclaim::Guard) {
+        let cur = slot.load(Ordering::Acquire, guard);
+        slot.compare_exchange(
+            cur,
+            Shared::null(),
+            Ordering::AcqRel,
+            Ordering::Acquire,
+            guard,
+        )
+        .expect("only the owner writes the slots");
+        // SAFETY: the CAS above unlinked `cur`; sole retire.
+        unsafe { guard.defer_destroy(cur) };
+    }
+
+    loom::model(|| {
+        let live = Arc::new(AtomicIsize::new(0));
+        {
+            let collector = Arc::new(Collector::new());
+            let payload = || {
+                Atomic::new(Payload {
+                    canary: CANARY,
+                    _token: Token::new(&live),
+                })
+            };
+            let a = Arc::new(payload());
+            let b = Arc::new(payload());
+
+            let owner = {
+                let collector = Arc::clone(&collector);
+                let (a, b) = (Arc::clone(&a), Arc::clone(&b));
+                loom::thread::spawn(move || {
+                    let handle = collector.register();
+                    // Unpin seals the bag holding A and parks it.
+                    unlink_and_retire(&a, &handle.pin());
+                    // Two advances (unless the stealer's pin holds the
+                    // epoch back) expire the parked bag.
+                    collector.flush();
+                    collector.flush();
+                    // The first retirement under this pin takes the parked
+                    // bag back, racing the stealer's swap.
+                    unlink_and_retire(&b, &handle.pin());
+                })
+            };
+            let stealer = {
+                let collector = Arc::clone(&collector);
+                let a = Arc::clone(&a);
+                loom::thread::spawn(move || {
+                    {
+                        let guard = collector.pin();
+                        let s = a.load(Ordering::Acquire, &guard);
+                        collector.flush();
+                        collector.flush();
+                        if !s.is_null() {
+                            // SAFETY: loaded under our own (still-held) pin.
+                            let p = unsafe { s.deref() };
+                            assert_eq!(
+                                p.canary, CANARY,
+                                "parked bag freed while its epoch was still protected"
+                            );
+                        }
+                    }
+                    collector.flush();
+                    collector.flush();
+                    collector.flush();
+                })
+            };
+            owner.join().unwrap();
+            stealer.join().unwrap();
+            // Teardown: both slots are null (payloads retired); the
+            // collector drop and the participant records free the rest.
+        }
+        assert_eq!(
+            live.load(Ordering::Relaxed),
+            0,
+            "a retired payload was lost or freed twice"
         );
     });
 }
@@ -564,7 +670,7 @@ fn fat_leaf_race(
     });
 }
 
-/// Scenario 9 — **two copies of one leaf**: on the default tree keys 1
+/// Scenario 10 — **two copies of one leaf**: on the default tree keys 1
 /// and 3 share a leaf; inserting 2 and deleting 3 each build a copy of it
 /// and race to flag its parent. One iflag wins, the loser helps, rebuilds
 /// its copy from the winner's leaf and retries, so neither edit is lost.
@@ -578,7 +684,7 @@ fn insert_vs_delete_copy_same_leaf() {
     );
 }
 
-/// Scenario 10 — **a split racing a copy**: a full leaf (capacity keys)
+/// Scenario 11 — **a split racing a copy**: a full leaf (capacity keys)
 /// receives an insert that splits it into an internal node over two half
 /// leaves while a delete replaces the same leaf by a smaller copy. If the
 /// delete wins, the insert finds room and copies instead of splitting.

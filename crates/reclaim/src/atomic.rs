@@ -45,9 +45,12 @@ pub struct Owned<T> {
 }
 
 impl<T> Owned<T> {
-    /// Allocates `value` on the heap with tag `0`.
+    /// Allocates `value` on the heap with tag `0`, reusing a block from
+    /// this thread's recycling bin when one is cached (see [`alloc_box`]).
+    ///
+    /// [`alloc_box`]: crate::alloc_box
     pub fn new(value: T) -> Owned<T> {
-        let raw = Box::into_raw(Box::new(value));
+        let raw = crate::bins::alloc_box(value);
         Owned {
             data: compose(raw, 0),
             _marker: PhantomData,
@@ -115,7 +118,7 @@ impl<T> Drop for Owned<T> {
     fn drop(&mut self) {
         let (raw, _) = decompose::<T>(self.data);
         // SAFETY: `Owned` uniquely owns the allocation; it was produced by
-        // `Box::into_raw` in `Owned::new`.
+        // `alloc_box` in `Owned::new`, which is a `Box` allocation.
         unsafe { drop(Box::from_raw(raw)) }
     }
 }

@@ -1,9 +1,11 @@
 //! Type-erased deferred destruction of heap allocations.
 //!
-//! A [`Deferred`] is a pending `drop(Box::from_raw(ptr))` for some concrete
-//! type, erased to a `(data pointer, drop function)` pair so that garbage
-//! bags can hold destructions of heterogeneous types without allocating a
-//! boxed closure per retired object.
+//! A [`Deferred`] is a pending destruction of a boxed value of some
+//! concrete type, erased to a `(data pointer, drop function)` pair so that
+//! garbage bags can hold destructions of heterogeneous types without
+//! allocating a boxed closure per retired object. Running it drops the
+//! value and keeps the block in the executing thread's recycling bin
+//! (see `bins.rs`).
 
 use std::fmt;
 
@@ -27,7 +29,7 @@ pub(crate) struct Deferred {
 unsafe impl Send for Deferred {}
 
 impl Deferred {
-    /// Defers `drop(Box::from_raw(ptr))`.
+    /// Defers dropping the box `ptr` and recycling its block.
     ///
     /// # Safety
     ///
@@ -35,12 +37,12 @@ impl Deferred {
     /// `T`, must not be used again by the caller, and no other `Deferred`
     /// may exist for it.
     pub(crate) unsafe fn destroy_boxed<T>(ptr: *mut T) -> Deferred {
-        unsafe fn drop_box<T>(p: *mut ()) {
-            drop(Box::from_raw(p.cast::<T>()));
+        unsafe fn recycle_box<T>(p: *mut ()) {
+            crate::bins::recycle(p.cast::<T>());
         }
         Deferred {
             data: ptr.cast(),
-            drop_fn: drop_box::<T>,
+            drop_fn: recycle_box::<T>,
             bytes: std::mem::size_of::<T>(),
             executed: false,
         }

@@ -14,20 +14,26 @@
 //! * Before touching shared pointers a thread *pins* itself ([`Guard`]),
 //!   publishing the epoch it observed.
 //! * Removed objects are *retired* ([`Guard::defer_destroy`]) into the
-//!   thread's open bag; at the outermost unpin (or when the bag fills) the
-//!   bag is *sealed* with the global epoch read behind a `SeqCst` fence and
-//!   *published* to the collector-wide evictable registry.
+//!   thread's open bag. At the outermost unpin the bag is *sealed* with the
+//!   global epoch read behind a `SeqCst` fence and *parked* in the
+//!   thread's participant slot; the owner takes it back at its next
+//!   retirement. A bag that fills is sealed and *published* to the
+//!   collector-wide evictable registry.
 //! * The global epoch advances from `E` to `E+1` only when every pinned
 //!   participant has observed `E`; hence pinned participants always sit at
 //!   `E` or `E-1`, and a bag sealed at epoch `g` is freed once the global
 //!   epoch reaches `g + 2` — by which point no thread that could have
 //!   observed a pointer into the bag is still pinned.
-//! * Because sealed bags live in a shared lock-free registry rather than in
-//!   thread-local caches, *any* thread — on housekeeping, [`Collector::flush`],
-//!   [`Collector::try_drain`], or the last [`Collector`] drop — can steal
-//!   and free bags whose epoch has passed. Reclamation never depends on the
-//!   retiring thread pinning again, so a thread-pool worker that parks
-//!   forever cannot strand its garbage (see DESIGN.md §10).
+//! * Published bags live in a shared lock-free registry and parked bags in
+//!   the shared participant list, so *any* thread — on housekeeping,
+//!   [`Collector::flush`], [`Collector::try_drain`], or the last
+//!   [`Collector`] drop — can steal and free bags whose epoch has passed.
+//!   Reclamation never depends on the retiring thread pinning again, so a
+//!   thread-pool worker that parks forever cannot strand its garbage (see
+//!   DESIGN.md §10).
+//! * Freeing a retired object drops it in place and keeps its block in the
+//!   freeing thread's recycling bin (`bins.rs`), from which the next
+//!   allocation of the same layout is served.
 //!
 //! The seal epoch is deliberately the *global* epoch at seal time, not the
 //! retirer's pin epoch: a thread pinned one epoch ahead of the retirer may
@@ -39,10 +45,12 @@
 //! no address can be freed (hence recycled, hence made to repeat an old word
 //! value) while a guard that observed it is live.
 
+use crate::bins::{alloc_box, recycle};
 use crate::deferred::Deferred;
 use crate::primitives::{fence, AtomicBool, AtomicPtr, AtomicU64, Ordering};
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::fmt;
+use std::mem::MaybeUninit;
 // Instrumentation-only counters bypass the loom facade on purpose: they
 // never synchronize anything (see primitives.rs).
 use std::sync::atomic::{AtomicU64 as CounterU64, AtomicUsize as CounterUsize};
@@ -55,9 +63,8 @@ const PINS_BETWEEN_COLLECT: u64 = 32;
 /// How many retirements force an early housekeeping pass.
 const DEFERS_BETWEEN_COLLECT: usize = 64;
 
-/// Open bags are sealed and published once they hold this many items, even
-/// mid-pin, so a long-pinned thread's footprint stays visible to the
-/// registry (and to [`ReclaimStats`]) in bounded-size chunks.
+/// Open bags are sealed and published to the evictable registry once they
+/// hold this many items, even mid-pin; smaller bags are parked at unpin.
 const MAX_ITEMS_PER_BAG: usize = 64;
 
 /// One registered `(thread, collector)` slot in the global participant list.
@@ -66,6 +73,15 @@ const MAX_ITEMS_PER_BAG: usize = 64;
 struct Participant {
     state: AtomicU64,
     claimed: AtomicBool,
+    /// The bag its owner sealed and parked at its last outermost unpin, or
+    /// null. Only the owner stores a bag here (into an empty slot); the
+    /// owner and collection passes take it with a swap, so a parked bag
+    /// has one owner at a time.
+    parked: AtomicPtr<Bag>,
+    /// Seal epoch of the last parked bag. A hint only: collection passes
+    /// skip slots it says are unexpired, and judge a taken bag by its own
+    /// `epoch`.
+    parked_epoch: AtomicU64,
     next: AtomicPtr<Participant>,
 }
 
@@ -85,27 +101,111 @@ impl Participant {
     }
 }
 
-/// A bag of retirements sealed with the global epoch observed (behind a
-/// `SeqCst` fence) when it was published, linked into the collector-wide
-/// evictable registry. Any thread may steal and free it once the global
-/// epoch reaches `epoch + 2`.
-struct SealedBag {
+/// A bag of up to [`MAX_ITEMS_PER_BAG`] retirements. While open it is
+/// private to its owner; once sealed with the global epoch observed behind
+/// a `SeqCst` fence it is parked in the owner's participant slot or linked
+/// into the evictable registry, and any thread may steal and free it once
+/// the global epoch reaches `epoch + 2`. Freeing the bag runs its items.
+struct Bag {
+    /// Seal epoch, written by whoever owns the bag when sealing it.
     epoch: u64,
-    items: Vec<Deferred>,
-    /// Total payload bytes of `items`, for footprint accounting.
+    len: usize,
+    /// Total payload bytes of the items, for footprint accounting.
     bytes: usize,
-    /// Identity of the publishing registration (its `LocalInner` address),
-    /// so stats can tell bags freed by their publisher from stolen ones.
+    /// Identity of the sealing registration (its `LocalInner` address),
+    /// so stats can tell bags freed by their sealer from stolen ones.
     /// Never dereferenced; the identity may be recycled after the
     /// registration drops, which is acceptable for a statistic.
     owner: usize,
-    next: AtomicPtr<SealedBag>,
+    next: AtomicPtr<Bag>,
+    items: [MaybeUninit<Deferred>; MAX_ITEMS_PER_BAG],
+}
+
+impl Bag {
+    /// An empty bag in a block from the bins, so steady-state retirement
+    /// allocates nothing.
+    fn new(owner: usize) -> *mut Bag {
+        alloc_box(Bag {
+            epoch: 0,
+            len: 0,
+            bytes: 0,
+            owner,
+            next: AtomicPtr::new(std::ptr::null_mut()),
+            items: [const { MaybeUninit::uninit() }; MAX_ITEMS_PER_BAG],
+        })
+    }
+
+    /// Adds `d`; returns whether the bag is now full.
+    fn push(&mut self, d: Deferred) -> bool {
+        self.bytes += d.bytes();
+        self.items[self.len].write(d);
+        self.len += 1;
+        self.len == MAX_ITEMS_PER_BAG
+    }
+
+    fn is_expired(&self, epoch: u64) -> bool {
+        self.epoch + 2 <= epoch
+    }
+}
+
+impl Drop for Bag {
+    fn drop(&mut self) {
+        for item in &mut self.items[..self.len] {
+            // SAFETY: the first `len` slots are initialized; each runs its
+            // destruction exactly once, here.
+            unsafe { item.assume_init_drop() };
+        }
+    }
+}
+
+/// Totals of bags freed by one collection pass, added to the [`Global`]
+/// counters in one go.
+#[derive(Default)]
+struct Freed {
+    items: u64,
+    bytes: u64,
+    bags: u64,
+    stolen: u64,
+}
+
+impl Freed {
+    /// Frees `bag`, which the caller owns and which has expired.
+    ///
+    /// # Safety
+    ///
+    /// `bag` came from [`Bag::new`], is owned by the caller alone and is
+    /// freed only once.
+    unsafe fn free(&mut self, bag: *mut Bag, caller: usize) {
+        // SAFETY: owned by the caller (contract).
+        let b = unsafe { &*bag };
+        self.items += b.len as u64;
+        self.bytes += b.bytes as u64;
+        self.bags += 1;
+        if b.owner != caller {
+            self.stolen += 1;
+        }
+        // SAFETY: as above; dropping the bag runs its items.
+        unsafe { recycle(bag) };
+    }
+
+    fn commit(self, global: &Global) {
+        if self.bags > 0 {
+            global.freed.fetch_add(self.items, Ordering::Relaxed);
+            global
+                .deferred_bytes
+                .fetch_sub(self.bytes, Ordering::Relaxed);
+            global.bags_freed.fetch_add(self.bags, Ordering::Relaxed);
+            global.bags_stolen.fetch_add(self.stolen, Ordering::Relaxed);
+        }
+    }
 }
 
 /// Counters describing reclamation activity; see [`Collector::stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReclaimStats {
-    /// Objects handed to `defer_destroy` so far.
+    /// Objects handed to `defer_destroy` so far. A thread counts its
+    /// retirements when it seals their bag, at the latest at its outermost
+    /// unpin, so the shared counters stay off the per-retirement path.
     pub retired: u64,
     /// Objects whose destructor has actually run.
     pub freed: u64,
@@ -116,17 +216,21 @@ pub struct ReclaimStats {
     /// Objects currently published to the evictable registry (sealed but
     /// not yet freed).
     pub evictable: u64,
-    /// Sealed bags published to the evictable registry so far.
+    /// Sealed bags handed over for any thread to free so far: full bags
+    /// pushed to the evictable registry, plus parked bags that a
+    /// collection pass took from their owner's slot.
     pub bags_published: u64,
-    /// Bags freed by a thread other than the one that published them
+    /// Bags freed by a thread other than the one that sealed them
     /// (including ownerless paths such as `flush` and `Collector::drop`).
     pub bags_stolen: u64,
     /// Bags freed so far (by any thread).
     pub bags_freed: u64,
-    /// Payload bytes currently awaiting reclamation (open bags plus the
-    /// evictable registry).
+    /// Payload bytes of sealed bags awaiting reclamation (parked bags plus
+    /// the evictable registry). A thread adds its bytes when it seals a
+    /// bag, like `retired`.
     pub deferred_bytes: u64,
     /// High-water mark of `deferred_bytes` over the collector's lifetime.
+    /// Taken when bags are sealed, so it is exact only to bag granularity.
     pub peak_deferred_bytes: u64,
 }
 
@@ -136,7 +240,7 @@ struct Global {
     participants: AtomicPtr<Participant>,
     /// The evictable-bag registry: a lock-free Treiber list of sealed bags
     /// published by any thread and stealable by any thread.
-    evictable: AtomicPtr<SealedBag>,
+    evictable: AtomicPtr<Bag>,
     /// Number of live `Collector` clones (not handles); when it reaches
     /// zero, cached thread-local handles know to retire themselves.
     collectors: CounterUsize,
@@ -196,6 +300,8 @@ impl Global {
         let rec = Box::into_raw(Box::new(Participant {
             state: AtomicU64::new(Participant::UNPINNED),
             claimed: AtomicBool::new(true),
+            parked: AtomicPtr::new(std::ptr::null_mut()),
+            parked_epoch: AtomicU64::new(0),
             next: AtomicPtr::new(std::ptr::null_mut()),
         }));
         let mut head = self.participants.load(Ordering::Acquire);
@@ -214,22 +320,31 @@ impl Global {
 
     /// Attempts to advance the global epoch by one; returns the epoch that
     /// is current after the attempt.
-    fn try_advance(&self) -> u64 {
+    ///
+    /// The participant scan also steals and frees expired parked bags, so
+    /// a thread that parks forever never strands its last bag. `caller` is
+    /// as for [`Global::collect_evictable`].
+    fn try_advance(&self, caller: usize) -> u64 {
         let global_epoch = self.epoch.load(Ordering::Relaxed);
         fence(Ordering::SeqCst);
 
         // The epoch may only advance if every *pinned* participant has
         // observed the current epoch.
+        let mut lagging = false;
+        let mut freed = Freed::default();
         let mut cur = self.participants.load(Ordering::Acquire);
         // SAFETY: records live until `Global::drop`; see `acquire_record`.
         while let Some(p) = unsafe { cur.as_ref() } {
             let state = p.state.load(Ordering::Relaxed);
             if let Some(e) = Participant::decode(state) {
-                if e != global_epoch {
-                    return global_epoch;
-                }
+                lagging |= e != global_epoch;
             }
+            self.steal_parked(p, global_epoch, caller, &mut freed);
             cur = p.next.load(Ordering::Acquire);
+        }
+        freed.commit(self);
+        if lagging {
+            return global_epoch;
         }
         fence(Ordering::Acquire);
 
@@ -252,12 +367,41 @@ impl Global {
         }
     }
 
+    /// Takes `p`'s parked bag if it has expired at `epoch` and frees it.
+    ///
+    /// The `parked_epoch` hint keeps the scan from taking bags that are
+    /// still young; the bag's own epoch, read once the swap made it ours,
+    /// decides. A bag the owner re-sealed since the hint was read is
+    /// published to the registry instead of being put back, because only
+    /// the owner ever stores into its slot.
+    fn steal_parked(&self, p: &Participant, epoch: u64, caller: usize, freed: &mut Freed) {
+        if p.parked.load(Ordering::Relaxed).is_null()
+            || p.parked_epoch.load(Ordering::Relaxed) + 2 > epoch
+        {
+            return;
+        }
+        // Acquire: pairs with the Release store that parked the bag, so its
+        // items and seal epoch are visible before we read or free them.
+        let bag = p.parked.swap(std::ptr::null_mut(), Ordering::Acquire);
+        // SAFETY: the swap made the bag ours alone.
+        let Some(b) = (unsafe { bag.as_ref() }) else {
+            return;
+        };
+        if b.is_expired(epoch) {
+            self.bags_published.fetch_add(1, Ordering::Relaxed);
+            // SAFETY: ours since the swap, expired, freed only here.
+            unsafe { freed.free(bag, caller) };
+        } else {
+            self.publish_bag(bag);
+        }
+    }
+
     /// Publishes a sealed bag to the evictable registry (lock-free Treiber
     /// push). After this returns, any thread may steal and free the bag
     /// once its epoch has passed.
-    fn publish_bag(&self, bag: Box<SealedBag>) {
-        let items = bag.items.len() as u64;
-        let node = Box::into_raw(bag);
+    fn publish_bag(&self, node: *mut Bag) {
+        // SAFETY: the caller owns the sealed bag until the CAS below.
+        let items = unsafe { (*node).len } as u64;
         // The observed head is only re-linked as the new bag's `next`; the
         // publisher never dereferences it (a stealer may already own it).
         let mut head = self.evictable.load(Ordering::Relaxed);
@@ -298,30 +442,20 @@ impl Global {
         if cur.is_null() {
             return;
         }
-        let mut survivors: *mut SealedBag = std::ptr::null_mut();
-        let mut survivors_tail: *mut SealedBag = std::ptr::null_mut();
-        let mut freed_items = 0u64;
-        let mut freed_bytes = 0u64;
-        let mut freed_bags = 0u64;
-        let mut stolen_bags = 0u64;
+        let mut survivors: *mut Bag = std::ptr::null_mut();
+        let mut survivors_tail: *mut Bag = std::ptr::null_mut();
+        let mut freed = Freed::default();
         while !cur.is_null() {
+            let node = cur;
             // SAFETY: the swap above transferred exclusive ownership of the
-            // whole chain to us; every node came from `Box::into_raw`.
-            let bag = unsafe { Box::from_raw(cur) };
+            // whole chain to us; every node came from `Bag::new`.
+            let bag = unsafe { &*node };
             // The chain is privately owned after the steal.
             cur = bag.next.load(Ordering::Relaxed);
-            if bag.epoch + 2 <= epoch {
-                freed_items += bag.items.len() as u64;
-                freed_bytes += bag.bytes as u64;
-                freed_bags += 1;
-                if bag.owner != caller {
-                    stolen_bags += 1;
-                }
-                for d in bag.items {
-                    d.execute();
-                }
+            if bag.is_expired(epoch) {
+                // SAFETY: privately owned, expired, freed only here.
+                unsafe { freed.free(node, caller) };
             } else {
-                let node = Box::into_raw(bag);
                 // SAFETY: `node` is privately owned until re-published.
                 unsafe { (*node).next.store(survivors, Ordering::Relaxed) };
                 if survivors.is_null() {
@@ -349,38 +483,39 @@ impl Global {
                 }
             }
         }
-        if freed_items > 0 {
-            self.freed.fetch_add(freed_items, Ordering::Relaxed);
+        if freed.items > 0 {
             self.evictable_items
-                .fetch_sub(freed_items, Ordering::Relaxed);
-            self.deferred_bytes
-                .fetch_sub(freed_bytes, Ordering::Relaxed);
-            self.bags_freed.fetch_add(freed_bags, Ordering::Relaxed);
-            if stolen_bags > 0 {
-                self.bags_stolen.fetch_add(stolen_bags, Ordering::Relaxed);
-            }
+                .fetch_sub(freed.items, Ordering::Relaxed);
         }
+        freed.commit(self);
     }
 }
 
 impl Drop for Global {
     fn drop(&mut self) {
         // No handles (hence no threads) reference this global any more:
-        // free all participant records and drain the evictable registry.
+        // free all participant records with their parked bags, and drain
+        // the evictable registry. Freeing a bag runs its remaining items.
         let mut cur = *self.participants.get_mut();
         while !cur.is_null() {
             // SAFETY: `&mut self` — no thread holds a handle; every record
             // came from `Box::into_raw` and is freed exactly once here.
-            let boxed = unsafe { Box::from_raw(cur) };
-            cur = boxed.next.load(Ordering::Relaxed);
+            let mut boxed = unsafe { Box::from_raw(cur) };
+            let parked = *boxed.parked.get_mut();
+            if !parked.is_null() {
+                // SAFETY: exclusive, as above; the slot owned the bag.
+                unsafe { recycle(parked) };
+            }
+            cur = *boxed.next.get_mut();
         }
         let mut bag = *self.evictable.get_mut();
         while !bag.is_null() {
             // SAFETY: `&mut self` gives exclusive ownership of the chain;
-            // each bag came from `Box::into_raw` and is freed exactly once.
-            // Its remaining `Deferred`s run their destructors on drop.
-            let boxed = unsafe { Box::from_raw(bag) };
-            bag = boxed.next.load(Ordering::Relaxed);
+            // each bag came from `Bag::new` and is freed exactly once.
+            let next = unsafe { *(*bag).next.get_mut() };
+            // SAFETY: as above.
+            unsafe { recycle(bag) };
+            bag = next;
         }
     }
 }
@@ -456,8 +591,9 @@ impl Collector {
             handle_count: Cell::new(1),
             pin_count: Cell::new(0),
             defer_count: Cell::new(0),
-            bag: RefCell::new(Vec::new()),
-            bag_bytes: Cell::new(0),
+            bag: Cell::new(std::ptr::null_mut()),
+            unfolded_items: Cell::new(0),
+            unfolded_bytes: Cell::new(0),
         }));
         LocalHandle { inner }
     }
@@ -466,31 +602,31 @@ impl Collector {
     ///
     /// The first call on a given thread registers it; subsequent calls reuse
     /// the registration. Handles for collectors that no longer exist are
-    /// retired lazily.
+    /// retired lazily, when a later pin misses the cache.
     #[cfg(not(loom))]
     pub fn pin(&self) -> Guard {
         CACHED_HANDLES.with(|cache| {
             let mut cache = cache.borrow_mut();
-            // Purge handles whose collector is gone (all `Collector` clones
-            // dropped) so their registrations and `Arc<Global>`s release;
-            // any garbage they retired was already published to the
-            // evictable registry at unpin.
-            cache.retain(|h| {
+            if let Some(h) = cache
+                .iter()
                 // SAFETY: a cached handle holds a `handle_count` reference,
                 // so its `inner` is live.
+                .find(|h| Arc::ptr_eq(&unsafe { &*h.inner }.global, &self.global))
+            {
+                return h.pin();
+            }
+            // Miss: purge handles whose collector is gone (all `Collector`
+            // clones dropped) so their registrations and `Arc<Global>`s
+            // release; their parked bags stay reachable through the
+            // participant list.
+            cache.retain(|h| {
+                // SAFETY: as above — cached handles keep `inner` live.
                 unsafe { &*h.inner }
                     .global
                     .collectors
                     .load(Ordering::Relaxed)
                     > 0
             });
-            if let Some(h) = cache
-                .iter()
-                // SAFETY: as above — cached handles keep `inner` live.
-                .find(|h| Arc::ptr_eq(&unsafe { &*h.inner }.global, &self.global))
-            {
-                return h.pin();
-            }
             let handle = self.register();
             let guard = handle.pin();
             cache.push(handle);
@@ -505,9 +641,9 @@ impl Collector {
     /// fresh every execution, and running TLS destructors outside the
     /// model scheduler would be unsound. Dropping the handle immediately
     /// is fine — the guard keeps the registration alive via refcount, and
-    /// the open bag is sealed and published to the evictable registry at
-    /// unpin, which also puts the publish/steal path itself under the
-    /// model.
+    /// the open bag is sealed and parked in the participant slot at unpin,
+    /// where the next registration to claim the record takes it back and
+    /// collection passes steal it. Both paths run under the model.
     #[cfg(loom)]
     pub fn pin(&self) -> Guard {
         let handle = self.register();
@@ -518,17 +654,17 @@ impl Collector {
     ///
     /// Useful in tests and teardown paths; never required for correctness.
     pub fn flush(&self) {
-        let e = self.global.try_advance();
+        let e = self.global.try_advance(0);
         self.global.collect_evictable(e, 0);
     }
 
     /// Repeatedly flushes until everything retired so far has been freed,
     /// or `attempts` passes elapse. Returns whether it fully drained.
     ///
-    /// Because every outermost unpin publishes the thread's garbage to the
-    /// shared evictable registry, draining does not require any other
-    /// thread to cooperate — it only requires that no thread holds an old
-    /// epoch pinned. This helper yields between passes to absorb exactly
+    /// Because every outermost unpin seals the thread's garbage where any
+    /// thread can steal it (its participant slot or the evictable
+    /// registry), draining does not require any other thread to cooperate —
+    /// it only requires that no thread holds an old epoch pinned. This helper yields between passes to absorb exactly
     /// that window. Tests and teardown paths use it; correctness never
     /// requires it.
     pub fn try_drain(&self, attempts: usize) -> bool {
@@ -584,9 +720,9 @@ impl Drop for Collector {
     fn drop(&mut self) {
         if self.global.collectors.fetch_sub(1, Ordering::Relaxed) == 1 {
             // Last `Collector` clone: run the final teardown through the
-            // evictable registry. Every thread publishes its sealed bags at
-            // unpin, so garbage retired by *any* registered thread —
-            // including workers parked forever — is in the registry and
+            // participant slots and the evictable registry. Every thread
+            // seals its bag at unpin, so garbage retired by *any*
+            // registered thread — including workers parked forever — is
             // freed here as soon as its epoch passes. Two advances put the
             // global epoch two past every seal epoch when nothing is
             // pinned; a third pass collects what the second advance
@@ -594,7 +730,7 @@ impl Drop for Collector {
             // later by that thread's own housekeeping, or with the final
             // registration in `Global::drop`.
             for _ in 0..3 {
-                let e = self.global.try_advance();
+                let e = self.global.try_advance(0);
                 self.global.collect_evictable(e, 0);
             }
         }
@@ -617,7 +753,8 @@ impl fmt::Debug for Collector {
 
 #[cfg(not(loom))]
 thread_local! {
-    static CACHED_HANDLES: RefCell<Vec<LocalHandle>> = const { RefCell::new(Vec::new()) };
+    static CACHED_HANDLES: std::cell::RefCell<Vec<LocalHandle>> =
+        const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// Thread-local state for one `(thread, collector)` registration.
@@ -631,13 +768,15 @@ struct LocalInner {
     handle_count: Cell<usize>,
     pin_count: Cell<u64>,
     defer_count: Cell<usize>,
-    /// The open bag: retirements deferred under the current pin, not yet
-    /// sealed. Only non-empty while pinned — sealed and published to the
-    /// evictable registry at the outermost unpin (or mid-pin once it
-    /// reaches [`MAX_ITEMS_PER_BAG`]).
-    bag: RefCell<Vec<Deferred>>,
-    /// Payload bytes in the open bag.
-    bag_bytes: Cell<usize>,
+    /// The open bag, or null. Only non-null while pinned: taken back from
+    /// the participant slot (or freshly made) at the first retirement
+    /// under a pin, sealed and parked at the outermost unpin, or sealed and
+    /// published once it reaches [`MAX_ITEMS_PER_BAG`].
+    bag: Cell<*mut Bag>,
+    /// Retirements and their payload bytes not yet added to the shared
+    /// counters; folded in when a bag is sealed.
+    unfolded_items: Cell<u64>,
+    unfolded_bytes: Cell<u64>,
 }
 
 impl LocalInner {
@@ -672,11 +811,16 @@ impl LocalInner {
         debug_assert!(count > 0, "unpin without matching pin");
         self.guard_count.set(count - 1);
         if count == 1 {
-            // Publish the open bag *before* announcing the unpin: sealing
-            // reads the global epoch while this thread is still pinned, so
-            // the seal epoch is exactly the tightest one the safety
-            // argument allows, and a parked thread leaves nothing behind.
-            self.seal_and_publish();
+            // Seal and park the open bag *before* announcing the unpin:
+            // sealing reads the global epoch while this thread is still
+            // pinned, so the seal epoch is exactly the tightest one the
+            // safety argument allows, and a parked thread leaves its
+            // garbage where collection passes find it.
+            self.fold_counts();
+            let bag = self.bag.replace(std::ptr::null_mut());
+            if !bag.is_null() {
+                self.park(bag);
+            }
             self.record()
                 .state
                 .store(Participant::UNPINNED, Ordering::Release);
@@ -685,31 +829,22 @@ impl LocalInner {
 
     fn defer(&self, d: Deferred) {
         debug_assert!(self.guard_count.get() > 0, "defer while not pinned");
+        self.unfolded_items.set(self.unfolded_items.get() + 1);
         if self.global.leaky {
             // The paper's model: never reuse memory. Forget (leak) the
             // destruction entirely.
             std::mem::forget(d);
-            self.global.retired.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        let bytes = d.bytes();
-        let full = {
-            let mut bag = self.bag.borrow_mut();
-            bag.push(d);
-            bag.len() >= MAX_ITEMS_PER_BAG
-        };
-        self.bag_bytes.set(self.bag_bytes.get() + bytes);
-        self.global.retired.fetch_add(1, Ordering::Relaxed);
-        let now = self
-            .global
-            .deferred_bytes
-            .fetch_add(bytes as u64, Ordering::Relaxed)
-            + bytes as u64;
-        self.global
-            .peak_deferred_bytes
-            .fetch_max(now, Ordering::Relaxed);
-        if full {
-            self.seal_and_publish();
+        self.unfolded_bytes
+            .set(self.unfolded_bytes.get() + d.bytes() as u64);
+        let bag = self.open_bag();
+        // SAFETY: the open bag is owned by this registration alone.
+        if unsafe { (*bag).push(d) } {
+            self.fold_counts();
+            self.seal(bag);
+            self.bag.set(std::ptr::null_mut());
+            self.global.publish_bag(bag);
         }
         let defers = self.defer_count.get() + 1;
         self.defer_count.set(defers);
@@ -718,8 +853,59 @@ impl LocalInner {
         }
     }
 
-    /// Seals the open bag with the current global epoch and publishes it to
-    /// the evictable registry. No-op when the bag is empty.
+    /// Seals `bag` and parks it in this registration's participant slot.
+    fn park(&self, bag: *mut Bag) {
+        let epoch = self.seal(bag);
+        let record = self.record();
+        record.parked_epoch.store(epoch, Ordering::Relaxed);
+        // The slot is empty: `open_bag` emptied it, and since then only
+        // collection passes, which never store a bag back, touched it.
+        // Release: a collection pass that takes the bag reads its items
+        // and seal epoch.
+        record.parked.store(bag, Ordering::Release);
+    }
+
+    /// The open bag: the current one, else the bag parked at an earlier
+    /// unpin (unless a collection pass took it), else a new one.
+    fn open_bag(&self) -> *mut Bag {
+        let mut bag = self.bag.get();
+        if bag.is_null() {
+            // Acquire: the parked bag is dereferenced; pairs with the
+            // Release store that parked it (by this registration or an
+            // earlier claimant of the record).
+            bag = self
+                .record()
+                .parked
+                .swap(std::ptr::null_mut(), Ordering::Acquire);
+            if bag.is_null() {
+                bag = Bag::new(self.id());
+            } else {
+                // SAFETY: the swap made the parked bag ours alone.
+                unsafe { (*bag).owner = self.id() };
+            }
+            self.bag.set(bag);
+        }
+        bag
+    }
+
+    /// Adds this registration's uncounted retirements to the shared
+    /// `retired` and `deferred_bytes` counters.
+    fn fold_counts(&self) {
+        let items = self.unfolded_items.replace(0);
+        if items == 0 {
+            return;
+        }
+        let g = &self.global;
+        g.retired.fetch_add(items, Ordering::Relaxed);
+        let bytes = self.unfolded_bytes.replace(0);
+        let now = g.deferred_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        if now > g.peak_deferred_bytes.load(Ordering::Relaxed) {
+            g.peak_deferred_bytes.fetch_max(now, Ordering::Relaxed);
+        }
+    }
+
+    /// Seals `bag` (owned by the caller) with the current global epoch and
+    /// returns that epoch.
     ///
     /// The seal epoch is read *behind a `SeqCst` fence* and is deliberately
     /// NOT this thread's pin epoch: we may be pinned at `e` while the
@@ -729,47 +915,42 @@ impl LocalInner {
     /// observer is pinned at an epoch `<= g` and therefore blocks the
     /// advance to `g + 2` that frees the bag (see DESIGN.md §10; this fixes
     /// an epoch off-by-one in the earlier thread-local-cache scheme, which
-    /// sealed with the pin epoch).
-    fn seal_and_publish(&self) {
-        let mut bag = self.bag.borrow_mut();
-        if bag.is_empty() {
-            return;
-        }
-        let items = std::mem::take(&mut *bag);
-        drop(bag);
-        let bytes = self.bag_bytes.replace(0);
+    /// sealed with the pin epoch). A bag taken back from the slot and
+    /// sealed again only gets a later epoch, which is safe for its older
+    /// items too.
+    fn seal(&self, bag: *mut Bag) -> u64 {
         // Store-load: the unlink CASes that preceded every defer in this
         // bag must be globally ordered before the epoch read that seals it;
         // pairs with the SeqCst fence in `Global::try_advance`.
         fence(Ordering::SeqCst);
         // Ordered by the fence above, not by the load itself.
         let epoch = self.global.epoch.load(Ordering::Relaxed);
-        self.global.publish_bag(Box::new(SealedBag {
-            epoch,
-            items,
-            bytes,
-            owner: self as *const LocalInner as usize,
-            next: AtomicPtr::new(std::ptr::null_mut()),
-        }));
+        // SAFETY: the caller owns the bag.
+        unsafe { (*bag).epoch = epoch };
+        epoch
+    }
+
+    /// This registration's identity in [`Bag::owner`] and `caller`
+    /// arguments.
+    fn id(&self) -> usize {
+        self as *const LocalInner as usize
     }
 
     /// Advance the epoch if possible and steal-and-free expired bags from
-    /// the evictable registry.
+    /// the participant slots and the evictable registry.
     fn housekeep(&self) {
-        let epoch = self.global.try_advance();
-        self.global
-            .collect_evictable(epoch, self as *const LocalInner as usize);
+        let epoch = self.global.try_advance(self.id());
+        self.global.collect_evictable(epoch, self.id());
     }
 
-    /// Called when the last handle/guard reference drops: publish any
-    /// remaining garbage and release the participant record.
+    /// Called when the last handle/guard reference drops: release the
+    /// participant record. The last unpin already sealed and parked the
+    /// open bag; it stays in the record's slot, where collection passes
+    /// (or the record's next claimant) take it.
     fn finalize(&self) {
         debug_assert_eq!(self.guard_count.get(), 0);
         debug_assert_eq!(self.handle_count.get(), 0);
-        // The open bag is normally empty here (every outermost unpin
-        // publishes), but publish defensively so an exiting thread can
-        // never strand garbage on the registration.
-        self.seal_and_publish();
+        debug_assert!(self.bag.get().is_null());
         let record = self.record();
         record.state.store(Participant::UNPINNED, Ordering::Release);
         record.claimed.store(false, Ordering::Release);
@@ -1039,7 +1220,7 @@ mod tests {
         let a = crate::Atomic::new(CountDrop(drops.clone()));
         let s = a.load(Ordering::SeqCst, &rg);
         unsafe { rg.defer_destroy(s) };
-        drop(rg); // seals at the global epoch (1), publishes
+        drop(rg); // seals at the global epoch (1) and parks the bag
 
         // `later` (pinned at 1) caps the global epoch at 2; a bag sealed at
         // 1 frees only at 3, so no number of flushes may free it.

@@ -13,6 +13,10 @@
 //! * [`Atomic`] / [`Owned`] / [`Shared`] — tagged atomic pointers whose
 //!   spare low-order bits carry small integers, exactly the trick the paper
 //!   uses to pack a 2-bit state next to an Info pointer in one CAS word.
+//! * [`alloc_box`] — allocation through **per-thread recycling bins**:
+//!   freed blocks stay with the thread that freed them and serve its next
+//!   allocations of the same layout (the paper's Section 4.1 permits
+//!   reuse once nothing can reach a location).
 //! * [`hazard::Domain`] — **hazard pointers**, the alternative scheme the
 //!   paper's Section 6 discusses; provided for the reclamation-ablation
 //!   experiments and validated independently in this crate's tests.
@@ -55,10 +59,12 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod atomic;
+mod bins;
 mod deferred;
 mod epoch;
 pub mod hazard;
 mod primitives;
 
 pub use atomic::{low_bits, Atomic, CompareExchangeError, Owned, Pointer, Shared};
+pub use bins::alloc_box;
 pub use epoch::{unprotected, Collector, Guard, LocalHandle, ReclaimStats};

@@ -142,8 +142,9 @@ fn readers_never_observe_freed_memory() {
 }
 
 /// Writers that retire garbage and then park forever must not strand it:
-/// their bags are published to the evictable registry at unpin, and the
-/// main thread — which never retired anything — steals and frees them.
+/// their bags are sealed at unpin (parked in their participant slots, or
+/// published to the evictable registry once full), and the main thread —
+/// which never retired anything — steals and frees them.
 /// Byte accounting is exact here (every retirement is one `CountDrop`), so
 /// this also pins down the footprint counters: deferred bytes drain to
 /// zero and the peak never exceeds the total ever retired.

@@ -87,8 +87,9 @@ fn garbage_from_many_clones_drains_through_one() {
     assert_eq!(s.retired, s.freed, "{s:?}");
     assert_eq!(s.evictable, 0, "{s:?}");
     assert_eq!(s.deferred_bytes, 0, "{s:?}");
-    // The per-thread churns published bags at unpin; cross-thread frees go
-    // through the registry.
+    // The per-thread churns handed bags over (full ones to the registry,
+    // parked ones to the participant scans); cross-thread frees go through
+    // those handoffs.
     assert!(s.bags_published > 0, "{s:?}");
 }
 
