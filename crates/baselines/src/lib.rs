@@ -1,49 +1,26 @@
 //! Comparator dictionaries for the `nbbst` evaluation.
 //!
-//! The paper argues the EFRB tree against three families of alternatives;
-//! this crate implements one representative of each, from scratch, plus
-//! the strawman the paper's Figure 3 uses to motivate its protocol:
-//!
-//! * [`CoarseLockBst`] — the sequential tree behind a global RwLock
-//!   (the "no concurrency" floor for experiment T1).
-//! * [`FineLockBst`] — per-node locks with optimistic lock-free reads,
-//!   standing in for the Section-2 lock-based trees (Kung–Lehman,
-//!   chromatic trees): updates block each other locally, and a stalled
-//!   lock holder blocks successors — the *blocking* behaviour the EFRB
-//!   protocol removes.
-//! * [`LockFreeList`] — Harris's marked-pointer ordered list, the direct
-//!   ancestor of the tree's mark-before-splice idea (Section 3).
-//! * [`SkipList`] — a lock-free skiplist, the incumbent non-blocking
-//!   dictionary from the paper's opening Lea quote.
-//! * [`StdBTreeMap`] — `RwLock<std::collections::BTreeMap>`, the Rust
-//!   practitioner's default, anchoring the tables to a familiar point.
+//! * [`CoarseLockBst`] — the sequential tree behind a global RwLock: a
+//!   map that is trivially linearizable, on which `perfbench --map coarse`
+//!   checks that the benchmark's oracle reports no false failures.
 //! * [`naive::NaiveBst`] — the **deliberately broken** single-CAS BST of
 //!   Figure 3, with two-phase prepared operations for deterministic
 //!   anomaly replay.
 //!
-//! All (except the naive strawman, which is an experimental control)
-//! implement [`nbbst_dictionary::ConcurrentMap`] and run under the same
-//! epoch-reclamation substrate as the tree, so benchmark comparisons are
-//! apples-to-apples.
+//! [`CoarseLockBst`] implements [`nbbst_dictionary::ConcurrentMap`]; the
+//! naive strawman is an experimental control and runs under the same
+//! epoch-reclamation substrate as the tree.
 
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod coarse;
-mod fine;
-mod list;
 pub mod naive;
-mod skiplist;
-mod std_btree;
 
 pub use coarse::CoarseLockBst;
-pub use fine::FineLockBst;
-pub use list::LockFreeList;
-pub use skiplist::SkipList;
-pub use std_btree::StdBTreeMap;
 
 #[cfg(test)]
 mod equivalence {
-    //! Every baseline agrees with the sequential model on random
+    //! The coarse-lock baseline agrees with the sequential model on random
     //! single-threaded op sequences.
     use nbbst_dictionary::{ConcurrentMap, Operation, SeqMap};
     use nbbst_model::VecModel;
@@ -57,31 +34,21 @@ mod equivalence {
         ]
     }
 
-    macro_rules! equivalence_test {
-        ($name:ident, $ty:ty) => {
-            proptest! {
-                #[test]
-                fn $name(ops in proptest::collection::vec(op_strategy(), 0..300)) {
-                    let map: $ty = Default::default();
-                    let mut model: VecModel<u8, u8> = VecModel::new();
-                    for op in ops {
-                        prop_assert_eq!(op.apply(&map), op.apply_seq(&mut model), "{:?}", op);
-                    }
-                    prop_assert_eq!(map.quiescent_len(), SeqMap::len(&model));
-                    for k in 0..24u8 {
-                        prop_assert_eq!(
-                            ConcurrentMap::get(&map, &k),
-                            SeqMap::get(&model, &k)
-                        );
-                    }
-                }
+    proptest! {
+        #[test]
+        fn coarse_matches_model(ops in proptest::collection::vec(op_strategy(), 0..300)) {
+            let map: super::CoarseLockBst<u8, u8> = Default::default();
+            let mut model: VecModel<u8, u8> = VecModel::new();
+            for op in ops {
+                prop_assert_eq!(op.apply(&map), op.apply_seq(&mut model), "{:?}", op);
             }
-        };
+            prop_assert_eq!(map.quiescent_len(), SeqMap::len(&model));
+            for k in 0..24u8 {
+                prop_assert_eq!(
+                    ConcurrentMap::get(&map, &k),
+                    SeqMap::get(&model, &k)
+                );
+            }
+        }
     }
-
-    equivalence_test!(coarse_matches_model, super::CoarseLockBst<u8, u8>);
-    equivalence_test!(fine_matches_model, super::FineLockBst<u8, u8>);
-    equivalence_test!(list_matches_model, super::LockFreeList<u8, u8>);
-    equivalence_test!(skiplist_matches_model, super::SkipList<u8, u8>);
-    equivalence_test!(std_btree_matches_model, super::StdBTreeMap<u8, u8>);
 }

@@ -9,61 +9,64 @@
 //! `mark = dchild = dunflag`).
 
 use nbbst_core::NbBst;
-use nbbst_harness::{prefill, run_for, OpMix, Table, WorkloadSpec};
+use nbbst_harness::{prefill, run_for, KeyDist, OpMix, WorkloadSpec};
+use std::time::Duration;
+
+/// A small key range, so that updates contend.
+const KEY_RANGE: u64 = 256;
+const THREADS: usize = 8;
+const DURATION: Duration = Duration::from_millis(500);
 
 fn main() {
-    let args = nbbst_bench::ExpArgs::parse(500);
     nbbst_bench::banner("F4", "CAS state machine of the update word", "Figure 4");
 
     let tree: NbBst<u64, u64> = NbBst::with_stats();
     let spec = WorkloadSpec {
-        key_range: args.key_range.unwrap_or(256), // small range = contention
+        key_range: KEY_RANGE,
         mix: OpMix::UPDATE_ONLY,
-        dist: nbbst_harness::KeyDist::Uniform,
+        dist: KeyDist::Uniform,
         prefill_fraction: 0.5,
         seed: 4,
     };
     prefill(&tree, &spec);
-    let threads = args.threads.unwrap_or(8);
-    let result = run_for(&tree, &spec, threads, args.duration());
+    let result = run_for(&tree, &spec, THREADS, DURATION);
     println!(
-        "\nworkload: {spec} x {threads} threads for {:?} -> {:.3} Mops/s\n",
-        args.duration(),
+        "\nworkload: {spec} x {THREADS} threads for {DURATION:?} -> {:.3} Mops/s\n",
         result.mops()
     );
 
     let s = tree.stats().expect("stats enabled");
 
-    let mut table = Table::new(&["transition (Figure 4 edge)", "CAS type", "successes"]);
-    table.row(&["Clean -> IFlag", "iflag", &s.iflag_success.to_string()]);
-    table.row(&[
-        "child swing (leaf replaced)",
-        "ichild",
-        &s.ichild_success.to_string(),
-    ]);
-    table.row(&["IFlag -> Clean", "iunflag", &s.iunflag_success.to_string()]);
-    table.row(&["Clean -> DFlag", "dflag", &s.dflag_success.to_string()]);
-    table.row(&[
-        "Clean -> Mark (child of flagged gp)",
-        "mark",
-        &s.mark_success.to_string(),
-    ]);
-    table.row(&[
-        "child swing (delete)",
-        "dchild",
-        &s.dchild_success.to_string(),
-    ]);
-    table.row(&[
-        "DFlag -> Clean (after dchild)",
-        "dunflag",
-        &s.dunflag_success.to_string(),
-    ]);
-    table.row(&[
-        "DFlag -> Clean (mark failed)",
-        "backtrack",
-        &s.backtrack_success.to_string(),
-    ]);
-    println!("{table}");
+    let transitions = [
+        ("Clean -> IFlag", "iflag", s.iflag_success),
+        ("child swing (leaf replaced)", "ichild", s.ichild_success),
+        ("IFlag -> Clean", "iunflag", s.iunflag_success),
+        ("Clean -> DFlag", "dflag", s.dflag_success),
+        (
+            "Clean -> Mark (child of flagged gp)",
+            "mark",
+            s.mark_success,
+        ),
+        ("child swing (delete)", "dchild", s.dchild_success),
+        (
+            "DFlag -> Clean (after dchild)",
+            "dunflag",
+            s.dunflag_success,
+        ),
+        (
+            "DFlag -> Clean (mark failed)",
+            "backtrack",
+            s.backtrack_success,
+        ),
+    ];
+    println!(
+        "{:<35}  {:>9}  {:>10}",
+        "transition (Figure 4 edge)", "CAS type", "successes"
+    );
+    for (edge, cas, successes) in transitions {
+        println!("{edge:<35}  {cas:>9}  {successes:>10}");
+    }
+    println!();
 
     println!("attempt/success rates:");
     println!(

@@ -1,144 +1,7 @@
-//! Shared scaffolding for the experiment binaries and Criterion benches.
-//!
-//! Every structure is exposed as a boxed [`ConcurrentMap`] factory so the
-//! same driver measures the EFRB tree and each baseline identically. The
-//! experiment ids (`F1`–`F6`, `T1`–`T10`) are defined in DESIGN.md §5 and
-//! the measured results recorded in EXPERIMENTS.md.
+//! Shared scaffolding for the figure binaries, which regenerate the
+//! paper's Figures 1–6 (DESIGN.md §5, EXPERIMENTS.md).
 
-use nbbst_baselines::{CoarseLockBst, FineLockBst, LockFreeList, SkipList, StdBTreeMap};
-use nbbst_core::NbBst;
-use nbbst_dictionary::ConcurrentMap;
-use nbbst_sharded::ShardedNbBst;
-
-/// A type-erased dictionary under test.
-pub type DynMap = Box<dyn ConcurrentMap<u64, u64>>;
-
-/// A named factory.
-pub type Factory = (&'static str, fn() -> DynMap);
-
-fn make_nbbst() -> DynMap {
-    Box::new(NbBst::new())
-}
-fn make_skiplist() -> DynMap {
-    Box::new(SkipList::new())
-}
-fn make_fine() -> DynMap {
-    Box::new(FineLockBst::new())
-}
-fn make_coarse() -> DynMap {
-    Box::new(CoarseLockBst::new())
-}
-fn make_list() -> DynMap {
-    Box::new(LockFreeList::new())
-}
-fn make_std_btree() -> DynMap {
-    Box::new(StdBTreeMap::new())
-}
-fn make_sharded() -> DynMap {
-    Box::new(ShardedNbBst::new())
-}
-
-/// Factories for the sharded frontend at each swept shard count, plus the
-/// default-count entry (`Factory` is a fn pointer, so each count needs its
-/// own monomorphic constructor).
-pub fn sharded_structures() -> Vec<Factory> {
-    fn make_1() -> DynMap {
-        Box::new(ShardedNbBst::with_shards(1))
-    }
-    fn make_2() -> DynMap {
-        Box::new(ShardedNbBst::with_shards(2))
-    }
-    fn make_4() -> DynMap {
-        Box::new(ShardedNbBst::with_shards(4))
-    }
-    fn make_8() -> DynMap {
-        Box::new(ShardedNbBst::with_shards(8))
-    }
-    vec![
-        ("sharded-1", make_1),
-        ("sharded-2", make_2),
-        ("sharded-4", make_4),
-        ("sharded-8", make_8),
-    ]
-}
-
-/// The structures compared in the large-key-range experiments
-/// (T1/T2/T3/T4/T5).
-pub fn scalable_structures() -> Vec<Factory> {
-    vec![
-        ("nbbst", make_nbbst),
-        ("nbbst-sharded", make_sharded),
-        ("skiplist", make_skiplist),
-        ("fine-lock-bst", make_fine),
-        ("coarse-lock-bst", make_coarse),
-        ("std-btreemap-rwlock", make_std_btree),
-    ]
-}
-
-/// The structures compared when the key range is small enough for the
-/// `O(n)` list to participate (contention experiments).
-pub fn small_range_structures() -> Vec<Factory> {
-    let mut v = scalable_structures();
-    v.push(("lock-free-list", make_list));
-    v
-}
-
-/// Thread counts for scaling sweeps: powers of two up to twice the
-/// available parallelism (the oversubscribed points are where blocking
-/// structures fall over, which is the paper's qualitative claim).
-pub fn thread_counts() -> Vec<usize> {
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut counts = vec![1usize];
-    while *counts.last().expect("non-empty") < hw * 2 {
-        counts.push(counts.last().expect("non-empty") * 2);
-    }
-    counts.dedup();
-    counts
-}
-
-/// Parses `NAME=value`-style overrides from the command line, e.g.
-/// `duration_ms=500 threads=8`.
-#[derive(Debug, Clone)]
-pub struct ExpArgs {
-    /// Measured milliseconds per cell.
-    pub duration_ms: u64,
-    /// Optional fixed thread count (otherwise the sweep default).
-    pub threads: Option<usize>,
-    /// Optional key-range override.
-    pub key_range: Option<u64>,
-}
-
-impl ExpArgs {
-    /// Parses `std::env::args`, with `default_ms` per cell.
-    pub fn parse(default_ms: u64) -> ExpArgs {
-        let mut args = ExpArgs {
-            duration_ms: default_ms,
-            threads: None,
-            key_range: None,
-        };
-        for a in std::env::args().skip(1) {
-            if let Some(v) = a.strip_prefix("duration_ms=") {
-                args.duration_ms = v.parse().expect("duration_ms=<u64>");
-            } else if let Some(v) = a.strip_prefix("threads=") {
-                args.threads = Some(v.parse().expect("threads=<usize>"));
-            } else if let Some(v) = a.strip_prefix("key_range=") {
-                args.key_range = Some(v.parse().expect("key_range=<u64>"));
-            } else {
-                eprintln!("ignoring unknown argument {a:?}");
-            }
-        }
-        args
-    }
-
-    /// The per-cell measurement duration.
-    pub fn duration(&self) -> std::time::Duration {
-        std::time::Duration::from_millis(self.duration_ms)
-    }
-}
-
-/// Prints the standard experiment banner.
+/// Prints the standard figure banner.
 pub fn banner(id: &str, title: &str, paper_ref: &str) {
     println!("==============================================================");
     println!("{id}: {title}");
@@ -150,28 +13,4 @@ pub fn banner(id: &str, title: &str, paper_ref: &str) {
             .unwrap_or(1)
     );
     println!("==============================================================");
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn factories_produce_working_maps() {
-        for (name, make) in small_range_structures() {
-            let m = make();
-            assert!(m.insert(1, 10), "{name}");
-            assert!(!m.insert(1, 11), "{name}");
-            assert_eq!(m.get(&1), Some(10), "{name}");
-            assert!(m.remove(&1), "{name}");
-            assert_eq!(m.quiescent_len(), 0, "{name}");
-        }
-    }
-
-    #[test]
-    fn thread_counts_start_at_one_and_grow() {
-        let c = thread_counts();
-        assert_eq!(c[0], 1);
-        assert!(c.windows(2).all(|w| w[0] < w[1]));
-    }
 }

@@ -1,9 +1,10 @@
 //! Workload generation, measurement and checking for concurrent
 //! dictionaries.
 //!
-//! Everything the experiment suite (EXPERIMENTS.md) needs, behind the
-//! [`nbbst_dictionary::ConcurrentMap`] abstraction so the EFRB tree and
-//! every baseline are driven identically:
+//! What the stress and linearizability tests, the Figure 4 binary and the
+//! examples need, behind the [`nbbst_dictionary::ConcurrentMap`]
+//! abstraction so the EFRB tree, the sharded frontend and the baselines
+//! are driven identically:
 //!
 //! * [`WorkloadSpec`] / [`OpMix`] / [`KeyDist`] — parameterized workloads
 //!   with deterministic per-thread streams (uniform, Zipf, hotspot).
@@ -13,13 +14,11 @@
 //! * [`record_history`] / [`check_linearizable`] — empirical
 //!   linearizability checking (Wing–Gong with state memoization) against
 //!   the dictionary semantics.
-//! * [`Table`] / [`DataPoint`] — text/CSV/JSON-lines reporting.
 
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod histogram;
 mod linearize;
-mod report;
 mod runner;
 #[cfg(test)]
 mod stats_tests;
@@ -27,6 +26,5 @@ mod workload;
 
 pub use histogram::Histogram;
 pub use linearize::{check_linearizable, check_map_linearizable, record_history, CompletedOp};
-pub use report::{DataPoint, Table};
 pub use runner::{prefill, run_for, run_ops, validate_after_run, RunResult};
 pub use workload::{KeyDist, OpGenerator, OpMix, WorkloadSpec};

@@ -8,7 +8,7 @@
 
 use crate::{
     check_linearizable, prefill, record_history, run_for, run_ops, validate_after_run, CompletedOp,
-    Histogram, KeyDist, OpMix, Table, WorkloadSpec,
+    Histogram, KeyDist, OpMix, WorkloadSpec,
 };
 use nbbst_dictionary::{ConcurrentMap, Operation, Response, SeqMap};
 use std::collections::BTreeMap;
@@ -134,23 +134,6 @@ fn histogram_composes_with_runner() {
     assert!(h.count() > 0);
     assert!(h.percentile(50.0) <= h.percentile(99.9));
     assert!(h.min() <= h.max());
-}
-
-#[test]
-fn table_roundtrip_with_run_results() {
-    let spec = WorkloadSpec::read_heavy(64);
-    let map = Locked::default();
-    prefill(&map, &spec);
-    let r = run_ops(&map, &spec, 2, 500);
-    let mut t = Table::new(&["threads", "ops", "mops"]);
-    t.row_owned(vec![
-        r.threads.to_string(),
-        r.total_ops.to_string(),
-        format!("{:.3}", r.mops()),
-    ]);
-    let text = t.to_string();
-    assert!(text.contains("1000"), "{text}");
-    assert!(t.to_csv().lines().count() == 2);
 }
 
 #[test]

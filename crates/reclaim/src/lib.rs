@@ -7,8 +7,8 @@
 //! (Section 4.1). Rust has no ambient GC, so this crate supplies the
 //! substrate:
 //!
-//! * [`Collector`] / [`Guard`] — **epoch-based reclamation** (the scheme the
-//!   tree uses); the protocol and its safety argument are documented on
+//! * [`Collector`] / [`Guard`] — **epoch-based reclamation**, the scheme the
+//!   tree uses; the protocol and its safety argument are documented on
 //!   [`Collector`] and in the `epoch` module source.
 //! * [`Atomic`] / [`Owned`] / [`Shared`] — tagged atomic pointers whose
 //!   spare low-order bits carry small integers, exactly the trick the paper
@@ -17,20 +17,9 @@
 //!   freed blocks stay with the thread that freed them and serve its next
 //!   allocations of the same layout (the paper's Section 4.1 permits
 //!   reuse once nothing can reach a location).
-//! * [`hazard::Domain`] — **hazard pointers**, the alternative scheme the
-//!   paper's Section 6 discusses; provided for the reclamation-ablation
-//!   experiments and validated independently in this crate's tests.
 //!
-//! # Why epochs for the tree (and not hazard pointers)?
-//!
-//! Helping makes hazard pointers awkward for the EFRB tree: a helper
-//! follows `node → Info record → several other nodes` and would need to
-//! re-validate every hop (the paper sketches the required algorithm
-//! modifications in Section 6). Epoch pinning protects *all* loads between
-//! pin and unpin wholesale, which matches the helping pattern: every
-//! attempt of an operation runs under one pin, so every pointer it reads —
-//! including Info records published by other threads — stays live until it
-//! finishes the attempt.
+//! Why the tree uses epochs and not hazard pointers is argued in DESIGN.md
+//! §2.
 //!
 //! # Example
 //!
@@ -62,7 +51,6 @@ mod atomic;
 mod bins;
 mod deferred;
 mod epoch;
-pub mod hazard;
 mod primitives;
 
 pub use atomic::{low_bits, Atomic, CompareExchangeError, Owned, Pointer, Shared};

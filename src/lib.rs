@@ -10,9 +10,9 @@
 //! * [`NbBst`] — the paper's tree (from [`nbbst_core`]).
 //! * [`ConcurrentMap`] / [`SeqMap`] — the dictionary abstraction
 //!   (from [`nbbst_dictionary`]).
-//! * [`reclaim`] — the epoch/hazard-pointer memory-reclamation substrate.
+//! * [`reclaim`] — the epoch-based memory-reclamation substrate.
 //! * [`model`] — sequential reference models.
-//! * [`baselines`] — lock-based and lock-free comparator dictionaries.
+//! * [`baselines`] — a coarse-lock comparator and the naive tree of Figure 3.
 //! * [`harness`] — workloads, throughput runners, linearizability checking.
 //! * [`ShardedNbBst`] / [`sharded`] — key-space partitioning across
 //!   independent EFRB trees behind one [`ConcurrentMap`] and one

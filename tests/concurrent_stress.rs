@@ -3,7 +3,7 @@
 //! invariant and Figure-4 verification under stress.
 
 use nbbst::harness::{prefill, run_for, run_ops, validate_after_run, OpMix, WorkloadSpec};
-use nbbst::{ConcurrentMap, NbBst};
+use nbbst::{ConcurrentMap, NbBst, ShardedNbBst};
 use std::time::Duration;
 
 type DynMap = Box<dyn ConcurrentMap<u64, u64>>;
@@ -11,9 +11,11 @@ type DynMap = Box<dyn ConcurrentMap<u64, u64>>;
 fn all_structures() -> Vec<(&'static str, DynMap)> {
     vec![
         ("nbbst", Box::new(NbBst::new())),
-        ("skiplist", Box::new(nbbst::baselines::SkipList::new())),
-        ("list", Box::new(nbbst::baselines::LockFreeList::new())),
-        ("fine", Box::new(nbbst::baselines::FineLockBst::new())),
+        (
+            "nbbst-one-key-leaves",
+            Box::new(NbBst::new().one_key_leaves()),
+        ),
+        ("sharded", Box::new(ShardedNbBst::new())),
         ("coarse", Box::new(nbbst::baselines::CoarseLockBst::new())),
     ]
 }

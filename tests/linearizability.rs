@@ -1,5 +1,5 @@
 //! T10 integration tests: recorded concurrent histories from the EFRB
-//! tree (and every honest baseline, and the sharded frontend) are
+//! tree, the sharded frontend and the coarse-lock baseline are
 //! linearizable.
 
 use nbbst::harness::{check_map_linearizable, KeyDist, OpMix, WorkloadSpec};
@@ -87,42 +87,6 @@ fn sharded_single_shard_adversarial_histories_are_linearizable() {
         4,
         12,
         60,
-    )
-    .unwrap();
-}
-
-#[test]
-fn skiplist_histories_are_linearizable() {
-    check_map_linearizable(
-        nbbst::baselines::SkipList::<u64, u64>::new,
-        &spec(19),
-        4,
-        12,
-        40,
-    )
-    .unwrap();
-}
-
-#[test]
-fn lockfree_list_histories_are_linearizable() {
-    check_map_linearizable(
-        nbbst::baselines::LockFreeList::<u64, u64>::new,
-        &spec(23),
-        4,
-        12,
-        40,
-    )
-    .unwrap();
-}
-
-#[test]
-fn fine_lock_histories_are_linearizable() {
-    check_map_linearizable(
-        nbbst::baselines::FineLockBst::<u64, u64>::new,
-        &spec(29),
-        4,
-        12,
-        40,
     )
     .unwrap();
 }
