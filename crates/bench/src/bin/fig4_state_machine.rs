@@ -7,6 +7,13 @@
 //! circuit runs `iflag → ichild → iunflag` exactly once; every deletion
 //! circuit resolves its `DFlag` by exactly one of `mark` or `backtrack`;
 //! `mark = dchild = dunflag`).
+//!
+//! The tree has one key per leaf, the paper's tree, so that every
+//! successful delete runs the deletion circuit. The binary exits non-zero
+//! if any edge of that circuit (`dflag`, `mark`, `dchild`, `dunflag`) was
+//! never taken, since its identities would then hold vacuously. Only
+//! `backtrack`, which needs a mark CAS to lose a race, may stay at zero.
+//! The run is not timed; `perfbench` measures rates.
 
 use nbbst_core::NbBst;
 use nbbst_harness::{prefill, run_for, KeyDist, OpMix, WorkloadSpec};
@@ -20,7 +27,7 @@ const DURATION: Duration = Duration::from_millis(500);
 fn main() {
     nbbst_bench::banner("F4", "CAS state machine of the update word", "Figure 4");
 
-    let tree: NbBst<u64, u64> = NbBst::with_stats();
+    let tree: NbBst<u64, u64> = NbBst::with_stats().one_key_leaves();
     let spec = WorkloadSpec {
         key_range: KEY_RANGE,
         mix: OpMix::UPDATE_ONLY,
@@ -31,8 +38,8 @@ fn main() {
     prefill(&tree, &spec);
     let result = run_for(&tree, &spec, THREADS, DURATION);
     println!(
-        "\nworkload: {spec} x {THREADS} threads for {DURATION:?} -> {:.3} Mops/s\n",
-        result.mops()
+        "\nworkload: {spec} x {THREADS} threads for {DURATION:?} -> {} operations\n",
+        result.total_ops
     );
 
     let s = tree.stats().expect("stats enabled");
@@ -86,6 +93,15 @@ fn main() {
 
     s.check_figure4().expect("Figure 4 identities");
     tree.check_invariants().expect("structural invariants");
+    let untaken: Vec<&str> = transitions
+        .iter()
+        .filter(|&&(_, cas, successes)| successes == 0 && cas != "backtrack")
+        .map(|&(_, cas, _)| cas)
+        .collect();
+    if !untaken.is_empty() {
+        eprintln!("F4 vacuous: no successful {untaken:?} CAS in this run");
+        std::process::exit(1);
+    }
     println!("\nF4 verified: all observed transitions satisfy the Figure 4 circuit identities:");
     println!(
         "  iflag = ichild = iunflag            ({} each)",

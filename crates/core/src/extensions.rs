@@ -113,7 +113,10 @@ where
     /// ```
     /// use nbbst_core::NbBst;
     ///
-    /// let t: NbBst<u64, u64> = (0u64..5).map(|k| (k, k * k)).collect();
+    /// let t: NbBst<u64, u64> = NbBst::new();
+    /// for k in 0u64..5 {
+    ///     t.insert_entry(k, k * k).unwrap();
+    /// }
     /// let mut sum = 0;
     /// t.for_each_entry(|_, v| sum += *v);
     /// assert_eq!(sum, 0 + 1 + 4 + 9 + 16);
@@ -133,36 +136,6 @@ where
             f(k, v);
         }
     }
-
-    /// Bulk-inserts from an iterator, skipping duplicates; returns how
-    /// many keys were newly inserted.
-    pub fn insert_all<I: IntoIterator<Item = (K, V)>>(&self, iter: I) -> usize {
-        iter.into_iter()
-            .map(|(k, v)| usize::from(self.insert_entry(k, v).is_ok()))
-            .sum()
-    }
-}
-
-impl<K, V> FromIterator<(K, V)> for NbBst<K, V>
-where
-    K: Ord + Clone,
-    V: Clone,
-{
-    fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
-        let tree = NbBst::new();
-        tree.insert_all(iter);
-        tree
-    }
-}
-
-impl<K, V> Extend<(K, V)> for NbBst<K, V>
-where
-    K: Ord + Clone,
-    V: Clone,
-{
-    fn extend<I: IntoIterator<Item = (K, V)>>(&mut self, iter: I) {
-        self.insert_all(iter);
-    }
 }
 
 #[cfg(test)]
@@ -170,7 +143,11 @@ mod tests {
     use super::*;
 
     fn tree(keys: &[u64]) -> NbBst<u64, u64> {
-        keys.iter().map(|&k| (k, k * 10)).collect()
+        let t = NbBst::new();
+        for &k in keys {
+            t.insert_entry(k, k * 10).unwrap();
+        }
+        t
     }
 
     #[test]
@@ -265,23 +242,6 @@ mod tests {
             let want: Vec<u64> = reference.range(lo..hi).map(|(k, _)| *k).collect();
             assert_eq!(got, want, "range {lo}..{hi}");
         }
-    }
-
-    #[test]
-    fn from_iterator_and_extend() {
-        let mut t: NbBst<u64, u64> = [(2u64, 20u64), (1, 10), (2, 99)].into_iter().collect();
-        assert_eq!(t.len_slow(), 2);
-        assert_eq!(t.get_cloned(&2), Some(20), "first write wins");
-        t.extend([(3, 30), (1, 11)]);
-        assert_eq!(t.len_slow(), 3);
-        assert_eq!(t.get_cloned(&1), Some(10));
-        t.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn insert_all_counts_new_keys() {
-        let t: NbBst<u64, u64> = NbBst::new();
-        assert_eq!(t.insert_all([(1, 1), (2, 2), (1, 9)]), 2);
     }
 
     #[test]

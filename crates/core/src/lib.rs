@@ -55,17 +55,14 @@
 
 #![warn(missing_docs, missing_debug_implementations)]
 
-mod cleanup;
 mod extensions;
 mod node;
 pub mod raw;
-mod set;
 mod state;
 mod stats;
 mod tree;
 mod view;
 
-pub use set::NbSet;
 pub use state::State;
 pub use stats::{StatsSnapshot, TreeStats};
 pub use tree::NbBst;

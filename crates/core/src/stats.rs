@@ -139,7 +139,7 @@ stats_fields! {
     /// Calls into `HelpDelete` for another operation's deletion.
     help_delete_calls,
     /// Calls into `HelpMarked` for another operation's deletion (from
-    /// `Help` or the cleaning search).
+    /// `Help` or `HelpDelete`).
     help_marked_calls,
     /// Nodes retired to the collector.
     nodes_retired,

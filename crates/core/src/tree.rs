@@ -704,7 +704,7 @@ where
     }
 
     /// `HelpMarked(op)` (lines 100–106): the dchild and dunflag steps.
-    pub(crate) fn help_marked(&self, op: UpdateRef<'_, K, V>, guard: &Guard) {
+    fn help_marked(&self, op: UpdateRef<'_, K, V>, guard: &Guard) {
         self.bump(|st| &st.help_marked_calls);
         self.dchild(op, guard);
         self.dunflag(op, guard);

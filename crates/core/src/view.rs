@@ -161,14 +161,6 @@ where
         keys
     }
 
-    /// In-order snapshot of `(key, value)` clones. Exact only at
-    /// quiescence.
-    pub fn pairs_snapshot(&self) -> Vec<(K, V)> {
-        let mut pairs = Vec::new();
-        self.for_each_entry(|k, v| pairs.push((k.clone(), v.clone())));
-        pairs
-    }
-
     /// Height in edges of the longest root-to-leaf path (the initial
     /// sentinel tree has height 1). Exact only at quiescence.
     pub fn height(&self) -> usize {
@@ -410,7 +402,7 @@ mod tests {
         assert_eq!(t.len_slow(), 5);
         assert_eq!(t.keys_snapshot(), vec![1, 2, 3, 4, 6]);
         assert_eq!(
-            t.pairs_snapshot(),
+            t.range_snapshot(Bound::Unbounded, Bound::Unbounded),
             vec![(1, 2), (2, 4), (3, 6), (4, 8), (6, 12)]
         );
     }

@@ -18,7 +18,7 @@
 //! It also defines the [`Operation`]/[`Response`] vocabulary used to record
 //! histories for linearizability checking, and the [`ShardRoute`] key →
 //! shard splitter behind horizontally partitioned frontends
-//! ([`FibonacciRoute`] is the default hash-mixed route).
+//! ([`FibonacciRoute`] is its hash-mixed implementation).
 //!
 //! # Semantics
 //!
@@ -50,7 +50,7 @@
 mod route;
 mod sentinel;
 
-pub use route::{FibonacciRoute, KeySpace, RangeRoute, ShardRoute, UniformU64};
+pub use route::{FibonacciRoute, ShardRoute};
 pub use sentinel::{real_vs_node, SentinelKey};
 
 use std::collections::BTreeMap;

@@ -9,28 +9,15 @@
 //! across the composition (every operation touches exactly one
 //! linearizable shard).
 //!
-//! Two routes ship with the crate:
-//!
-//! * [`FibonacciRoute`] is the default: an FNV-1a hash of the key followed
-//!   by a Fibonacci (golden-ratio) multiply, taking the *top* bits. The
-//!   multiply diffuses low-entropy keys (sequential integers, aligned
-//!   pointers) across shards, and taking high bits keeps the route stable
-//!   in distribution when the shard count changes by powers of two. Hash
-//!   routing balances load under any key distribution but scatters ordered
-//!   key ranges over every shard, so ordered scans must merge all shards.
-//! * [`RangeRoute`] partitions the key space into **contiguous intervals**
-//!   via a sorted split-point table, in the spirit of the partitioned
-//!   layouts used by non-blocking interpolation search trees. Ordered
-//!   routing makes range queries touch only the shards that overlap the
-//!   interval and lets cross-shard scans concatenate (rather than merge)
-//!   per-shard results — at the cost of load imbalance when the key
-//!   distribution is skewed relative to the split points. A [`KeySpace`]
-//!   describes the key universe so split points can be derived instead of
-//!   hand-written ([`UniformU64`] covers the benchmark-standard integer
-//!   domain).
+//! The crate ships one route, [`FibonacciRoute`]: an FNV-1a hash of the
+//! key followed by a Fibonacci (golden-ratio) multiply, taking the *top*
+//! bits. The multiply diffuses low-entropy keys (sequential integers,
+//! aligned pointers) across shards, and taking high bits keeps the route
+//! stable in distribution when the shard count changes by powers of two.
+//! Hash routing balances load under any key distribution but scatters
+//! ordered key ranges over every shard, so ordered scans merge all shards.
 
 use std::hash::{Hash, Hasher};
-use std::ops::{Bound, Range};
 
 /// Maps keys to shards for a horizontally partitioned dictionary.
 ///
@@ -61,27 +48,6 @@ pub trait ShardRoute<K: ?Sized>: Send + Sync {
     ///
     /// `shards` is a power of two.
     fn shard(&self, key: &K, shards: usize) -> usize;
-
-    /// `true` iff the route is **monotone**: `a <= b` implies
-    /// `shard(a) <= shard(b)`, so each shard owns a contiguous key
-    /// interval and concatenating per-shard ordered scans in shard order
-    /// yields a globally ordered scan. Hash routes return `false` (the
-    /// default); [`RangeRoute`] returns `true`.
-    fn is_ordered(&self) -> bool {
-        false
-    }
-
-    /// The contiguous run of shard indices that can own keys in
-    /// `[lo, hi]`-style bounds.
-    ///
-    /// Implementations may be conservative (return a superset), never
-    /// lossy. The default covers every shard, which is the only safe
-    /// answer for unordered (hash) routes; ordered routes narrow it to
-    /// the shards whose intervals overlap the bounds.
-    fn covering_shards(&self, lo: Bound<&K>, hi: Bound<&K>, shards: usize) -> Range<usize> {
-        let _ = (lo, hi);
-        0..shards
-    }
 }
 
 /// FNV-1a, the workspace's dependency-free [`Hasher`]: cheap (one
@@ -162,144 +128,6 @@ impl<K: Hash + ?Sized> ShardRoute<K> for FibonacciRoute {
     }
 }
 
-/// Describes a key universe well enough to derive evenly spaced split
-/// points for [`RangeRoute::even`].
-///
-/// Implementations return `shards - 1` **sorted, distinct** keys that cut
-/// the universe into `shards` intervals of (approximately) equal measure
-/// under the expected key distribution.
-pub trait KeySpace<K> {
-    /// `shards - 1` sorted, distinct split points partitioning the
-    /// universe into `shards` intervals.
-    fn split_points(&self, shards: usize) -> Vec<K>;
-}
-
-/// The benchmark-standard key universe: `u64` keys drawn uniformly from
-/// the inclusive interval `[lo, hi]`.
-///
-/// # Examples
-///
-/// ```
-/// use nbbst_dictionary::{KeySpace, UniformU64};
-///
-/// let space = UniformU64 { lo: 0, hi: 99 };
-/// assert_eq!(space.split_points(4), vec![25, 50, 75]);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UniformU64 {
-    /// Smallest key in the universe (inclusive).
-    pub lo: u64,
-    /// Largest key in the universe (inclusive).
-    pub hi: u64,
-}
-
-impl KeySpace<u64> for UniformU64 {
-    fn split_points(&self, shards: usize) -> Vec<u64> {
-        assert!(self.lo <= self.hi, "empty key universe");
-        assert!(shards >= 1, "at least one shard");
-        // u128 arithmetic so the full-domain universe cannot overflow.
-        let span = (self.hi - self.lo) as u128 + 1;
-        (1..shards)
-            .map(|i| self.lo + (span * i as u128 / shards as u128) as u64)
-            .collect()
-    }
-}
-
-/// Contiguous key-interval routing over a sorted split-point table.
-///
-/// With split points `s_0 < s_1 < … < s_{m-1}`, shard `0` owns keys
-/// `k < s_0`, shard `i` owns `s_{i-1} <= k < s_i`, and the last shard
-/// owns `k >= s_{m-1}` (lookups are capped at `shards - 1`, so a table
-/// longer than the shard count folds the tail onto the last shard rather
-/// than routing out of range). The route is monotone, so per-shard
-/// ordered scans concatenate into a global ordered scan and range queries
-/// touch only the overlapping shards — the property the sharded frontend
-/// exploits for `range_snapshot` stitching.
-///
-/// The flip side of ordered routing is load skew: if the live keys
-/// cluster inside one interval, that shard absorbs the traffic. Pick
-/// split points from what you know about the key distribution
-/// ([`RangeRoute::even`] over a [`KeySpace`] for uniform keys), and watch
-/// the frontend's load report for imbalance.
-///
-/// # Examples
-///
-/// ```
-/// use nbbst_dictionary::{RangeRoute, ShardRoute, UniformU64};
-///
-/// let route = RangeRoute::even(&UniformU64 { lo: 0, hi: 99 }, 4);
-/// assert_eq!(route.shard(&0u64, 4), 0);
-/// assert_eq!(route.shard(&24u64, 4), 0);
-/// assert_eq!(route.shard(&25u64, 4), 1);
-/// assert_eq!(route.shard(&99u64, 4), 3);
-/// assert!(route.is_ordered());
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RangeRoute<K> {
-    /// Sorted, distinct interval lower bounds for shards `1..`.
-    splits: Vec<K>,
-}
-
-impl<K: Ord> RangeRoute<K> {
-    /// Builds a route from an explicit sorted table of split points;
-    /// `splits[i]` is the smallest key owned by shard `i + 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table is not strictly ascending.
-    pub fn from_splits(splits: Vec<K>) -> Self {
-        assert!(
-            splits.windows(2).all(|w| w[0] < w[1]),
-            "split points must be strictly ascending"
-        );
-        RangeRoute { splits }
-    }
-
-    /// Builds a route with evenly spaced split points for `shards`
-    /// intervals of the given [`KeySpace`].
-    pub fn even(space: &impl KeySpace<K>, shards: usize) -> Self {
-        Self::from_splits(space.split_points(shards))
-    }
-
-    /// The split-point table (shard `i + 1`'s smallest owned key).
-    pub fn splits(&self) -> &[K] {
-        &self.splits
-    }
-
-    /// Interval index before capping: the number of split points `<= key`.
-    fn interval(&self, key: &K) -> usize {
-        self.splits.partition_point(|s| s <= key)
-    }
-}
-
-impl<K: Ord + Send + Sync> ShardRoute<K> for RangeRoute<K> {
-    fn shard(&self, key: &K, shards: usize) -> usize {
-        // The cap folds intervals beyond the shard count onto the last
-        // shard (a table built for more shards than exist stays safe).
-        self.interval(key).min(shards - 1)
-    }
-
-    fn is_ordered(&self) -> bool {
-        true
-    }
-
-    fn covering_shards(&self, lo: Bound<&K>, hi: Bound<&K>, shards: usize) -> Range<usize> {
-        let first = match lo {
-            Bound::Unbounded => 0,
-            // Keys >= k (or > k) start in k's own interval: the interval
-            // is contiguous and contains keys on both sides of k.
-            Bound::Included(k) | Bound::Excluded(k) => self.interval(k).min(shards - 1),
-        };
-        let last = match hi {
-            Bound::Unbounded => shards - 1,
-            Bound::Included(k) | Bound::Excluded(k) => self.interval(k).min(shards - 1),
-        };
-        // Inverted bounds leave first > last; a Range with start >= end
-        // is empty, which is exactly the right answer.
-        first..last + 1
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,108 +198,5 @@ mod tests {
         }
         assert_eq!(Evens.shard(&10, 4), 2);
         assert_eq!(Evens.shard(&7, 4), 3);
-    }
-
-    #[test]
-    fn uniform_u64_split_points_are_even_and_sorted() {
-        let space = UniformU64 { lo: 0, hi: 1023 };
-        for shards in [1usize, 2, 4, 8] {
-            let splits = space.split_points(shards);
-            assert_eq!(splits.len(), shards - 1);
-            assert!(splits.windows(2).all(|w| w[0] < w[1]));
-        }
-        assert_eq!(space.split_points(4), vec![256, 512, 768]);
-        // Offset universe.
-        let space = UniformU64 { lo: 100, hi: 199 };
-        assert_eq!(space.split_points(2), vec![150]);
-        // Full domain must not overflow.
-        let space = UniformU64 {
-            lo: 0,
-            hi: u64::MAX,
-        };
-        assert_eq!(space.split_points(2), vec![1u64 << 63]);
-    }
-
-    #[test]
-    fn range_route_is_monotone_and_in_range() {
-        let route = RangeRoute::even(&UniformU64 { lo: 0, hi: 4095 }, 8);
-        let mut prev = 0usize;
-        for k in 0u64..4_096 {
-            let s = route.shard(&k, 8);
-            assert!(s < 8);
-            assert!(s >= prev, "monotone: key {k} went {prev} -> {s}");
-            prev = s;
-        }
-        assert_eq!(prev, 7, "largest keys land on the last shard");
-        // Out-of-universe keys clamp to the edge shards, never panic.
-        assert_eq!(route.shard(&u64::MAX, 8), 7);
-        assert!(route.is_ordered());
-        assert!(!<FibonacciRoute as ShardRoute<u64>>::is_ordered(
-            &FibonacciRoute
-        ));
-    }
-
-    #[test]
-    fn range_route_interval_boundaries() {
-        let route = RangeRoute::from_splits(vec![10u64, 20, 30]);
-        assert_eq!(route.shard(&9, 4), 0);
-        assert_eq!(route.shard(&10, 4), 1, "split point belongs to upper shard");
-        assert_eq!(route.shard(&19, 4), 1);
-        assert_eq!(route.shard(&20, 4), 2);
-        assert_eq!(route.shard(&30, 4), 3);
-        assert_eq!(route.shard(&1_000, 4), 3);
-        // Fewer shards than the table implies: cap, don't overflow.
-        assert_eq!(route.shard(&1_000, 2), 1);
-        assert_eq!(route.splits(), &[10, 20, 30]);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly ascending")]
-    fn range_route_rejects_unsorted_splits() {
-        let _ = RangeRoute::from_splits(vec![10u64, 10, 30]);
-    }
-
-    #[test]
-    fn covering_shards_narrows_to_overlap() {
-        let route = RangeRoute::from_splits(vec![10u64, 20, 30]);
-        let all = route.covering_shards(Bound::Unbounded, Bound::Unbounded, 4);
-        assert_eq!(all, 0..4);
-        let mid = route.covering_shards(Bound::Included(&12), Bound::Excluded(&25), 4);
-        assert_eq!(mid, 1..3);
-        let one = route.covering_shards(Bound::Included(&12), Bound::Included(&15), 4);
-        assert_eq!(one, 1..2);
-        let tail = route.covering_shards(Bound::Excluded(&35), Bound::Unbounded, 4);
-        assert_eq!(tail, 3..4);
-        // Inverted bounds: empty.
-        let inv = route.covering_shards(Bound::Included(&35), Bound::Excluded(&5), 4);
-        assert!(inv.is_empty(), "{inv:?}");
-        // Hash routes can never narrow.
-        let hash_all = <FibonacciRoute as ShardRoute<u64>>::covering_shards(
-            &FibonacciRoute,
-            Bound::Included(&12),
-            Bound::Excluded(&25),
-            4,
-        );
-        assert_eq!(hash_all, 0..4);
-    }
-
-    #[test]
-    fn covering_shards_never_drops_an_owning_shard() {
-        // Exhaustive cross-check on a small universe: every key a route
-        // sends to some shard must have that shard inside the covering
-        // range of any bounds that include the key.
-        let route = RangeRoute::even(&UniformU64 { lo: 0, hi: 63 }, 4);
-        for lo in 0u64..64 {
-            for hi in lo..64 {
-                let cover = route.covering_shards(Bound::Included(&lo), Bound::Included(&hi), 4);
-                for k in lo..=hi {
-                    let s = route.shard(&k, 4);
-                    assert!(
-                        cover.contains(&s),
-                        "key {k} in [{lo},{hi}] owned by {s}, cover {cover:?}"
-                    );
-                }
-            }
-        }
     }
 }

@@ -1,4 +1,4 @@
-//! Workload generation, measurement and checking for concurrent
+//! Workload generation, driving and checking for concurrent
 //! dictionaries.
 //!
 //! What the stress and linearizability tests, the Figure 4 binary and the
@@ -9,22 +9,21 @@
 //! * [`WorkloadSpec`] / [`OpMix`] / [`KeyDist`] — parameterized workloads
 //!   with deterministic per-thread streams (uniform, Zipf, hotspot).
 //! * [`run_for`] / [`run_ops`] / [`prefill`] — barrier-synchronized
-//!   multi-threaded throughput and latency measurement ([`RunResult`],
-//!   [`Histogram`]).
+//!   multi-threaded drivers that count operations and successful updates
+//!   ([`RunResult`]) for [`validate_after_run`]'s exact accounting. They
+//!   time nothing; `perfbench` is the measurement path.
 //! * [`record_history`] / [`check_linearizable`] — empirical
 //!   linearizability checking (Wing–Gong with state memoization) against
 //!   the dictionary semantics.
 
 #![warn(missing_docs, missing_debug_implementations)]
 
-mod histogram;
 mod linearize;
 mod runner;
 #[cfg(test)]
 mod stats_tests;
 mod workload;
 
-pub use histogram::Histogram;
 pub use linearize::{check_linearizable, check_map_linearizable, record_history, CompletedOp};
 pub use runner::{prefill, run_for, run_ops, validate_after_run, RunResult};
 pub use workload::{KeyDist, OpGenerator, OpMix, WorkloadSpec};

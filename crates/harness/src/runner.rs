@@ -1,220 +1,119 @@
-//! Multi-threaded throughput and latency measurement.
+//! Multi-threaded workload drivers.
 //!
-//! The runner spawns `threads` workers, pins them behind a barrier, runs
-//! the workload for a fixed duration (or a fixed per-thread op count), and
-//! aggregates per-thread counts — the standard methodology for concurrent
-//! dictionary evaluations (and what every table in EXPERIMENTS.md is
-//! generated with).
+//! The runner spawns `threads` workers behind a barrier, drives the
+//! workload until a deadline or for a fixed per-thread op count, and sums
+//! the per-thread counts that [`validate_after_run`] checks. It times
+//! nothing: rates and latencies are `perfbench`'s job.
 
-use crate::histogram::Histogram;
-use crate::workload::WorkloadSpec;
+use crate::workload::{OpGenerator, WorkloadSpec};
 use nbbst_dictionary::{ConcurrentMap, Operation};
-use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-/// Aggregated measurement of one run.
-#[derive(Debug, Clone)]
+/// Operation counts of one run, summed over its workers.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunResult {
-    /// Worker count.
-    pub threads: usize,
-    /// Total completed operations across workers.
+    /// Completed operations.
     pub total_ops: u64,
-    /// Operations completed per worker.
-    pub per_thread_ops: Vec<u64>,
-    /// Wall-clock measured interval.
-    pub elapsed: Duration,
     /// `Insert` operations that returned `true`.
     pub successful_inserts: u64,
     /// `Delete` operations that returned `true`.
     pub successful_deletes: u64,
-    /// Latency samples (every 64th operation), merged across workers.
-    pub latency: Histogram,
 }
 
-impl RunResult {
-    /// Million operations per second.
-    pub fn mops(&self) -> f64 {
-        self.total_ops as f64 / self.elapsed.as_secs_f64() / 1e6
-    }
-
-    /// Ratio of the slowest worker's ops to the fastest's — a fairness
-    /// indicator (1.0 = perfectly fair).
-    pub fn fairness(&self) -> f64 {
-        let min = self.per_thread_ops.iter().copied().min().unwrap_or(0);
-        let max = self.per_thread_ops.iter().copied().max().unwrap_or(1);
-        if max == 0 {
-            1.0
-        } else {
-            min as f64 / max as f64
-        }
-    }
-}
-
-impl fmt::Display for RunResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} threads: {:.3} Mops/s ({} ops in {:?})",
-            self.threads,
-            self.mops(),
-            self.total_ops,
-            self.elapsed
-        )
-    }
-}
-
-/// Inserts the spec's prefill keys (single-threaded, unmeasured).
+/// Inserts the spec's prefill keys (single-threaded).
 pub fn prefill<M: ConcurrentMap<u64, u64> + ?Sized>(map: &M, spec: &WorkloadSpec) {
     for k in spec.prefill_keys() {
         map.insert(k, k);
     }
 }
 
-/// Runs `spec` on `map` with `threads` workers for `duration`.
-///
-/// Latency is sampled on every 64th operation to keep timer overhead out
-/// of the throughput signal.
+/// Runs `spec` on `map` with `threads` workers until `duration` has
+/// passed.
 pub fn run_for<M: ConcurrentMap<u64, u64> + ?Sized>(
     map: &M,
     spec: &WorkloadSpec,
     threads: usize,
     duration: Duration,
 ) -> RunResult {
-    let stop = AtomicBool::new(false);
-    let barrier = Barrier::new(threads + 1);
-
-    let mut per_thread_ops = vec![0u64; threads];
-    let mut successful_inserts = 0u64;
-    let mut successful_deletes = 0u64;
-    let mut latency = Histogram::new();
-    let mut elapsed = Duration::ZERO;
-
-    std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(threads);
-        for t in 0..threads {
-            let stop = &stop;
-            let barrier = &barrier;
-            let mut gen = spec.generator(t);
-            handles.push(s.spawn(move || {
-                let mut ops = 0u64;
-                let mut ins_ok = 0u64;
-                let mut del_ok = 0u64;
-                let mut hist = Histogram::new();
-                barrier.wait();
-                while !stop.load(Ordering::Relaxed) {
-                    // Batch between stop-flag checks to keep the check off
-                    // the hot path.
-                    for i in 0..128u32 {
-                        let op = gen.next_op();
-                        let sample = i % 64 == 0;
-                        let start = sample.then(Instant::now);
-                        let resp = match op {
-                            Operation::Contains(k) => map.contains(&k),
-                            Operation::Insert(k, v) => {
-                                let ok = map.insert(k, v);
-                                ins_ok += u64::from(ok);
-                                ok
-                            }
-                            Operation::Remove(k) => {
-                                let ok = map.remove(&k);
-                                del_ok += u64::from(ok);
-                                ok
-                            }
-                        };
-                        std::hint::black_box(resp);
-                        if let Some(start) = start {
-                            hist.record(start.elapsed().as_nanos() as u64);
-                        }
-                        ops += 1;
-                    }
-                }
-                (ops, ins_ok, del_ok, hist)
-            }));
-        }
-        barrier.wait();
-        let start = Instant::now();
-        std::thread::sleep(duration);
-        stop.store(true, Ordering::Relaxed);
-        for (t, h) in handles.into_iter().enumerate() {
-            let (ops, ins_ok, del_ok, hist) = h.join().expect("worker panicked");
-            per_thread_ops[t] = ops;
-            successful_inserts += ins_ok;
-            successful_deletes += del_ok;
-            latency.merge(&hist);
-        }
-        elapsed = start.elapsed();
-    });
-
-    RunResult {
-        threads,
-        total_ops: per_thread_ops.iter().sum(),
-        per_thread_ops,
-        elapsed,
-        successful_inserts,
-        successful_deletes,
-        latency,
-    }
+    run(map, spec, threads, Until::Elapsed(duration))
 }
 
-/// Runs a fixed number of operations per thread (useful when total work,
-/// not time, must be controlled — e.g. validation runs).
+/// Runs exactly `ops_per_thread` operations on each of `threads` workers
+/// (for when total work, not time, must be controlled).
 pub fn run_ops<M: ConcurrentMap<u64, u64> + ?Sized>(
     map: &M,
     spec: &WorkloadSpec,
     threads: usize,
     ops_per_thread: u64,
 ) -> RunResult {
-    let barrier = Barrier::new(threads + 1);
-    let mut per_thread_ops = vec![0u64; threads];
-    let mut successful_inserts = 0u64;
-    let mut successful_deletes = 0u64;
-    let mut latency = Histogram::new();
-    let mut elapsed = Duration::ZERO;
+    run(map, spec, threads, Until::Ops(ops_per_thread))
+}
 
+/// When a worker stops.
+#[derive(Clone, Copy)]
+enum Until {
+    /// Once this long has passed since the barrier released it.
+    Elapsed(Duration),
+    /// After this many operations.
+    Ops(u64),
+}
+
+fn run<M: ConcurrentMap<u64, u64> + ?Sized>(
+    map: &M,
+    spec: &WorkloadSpec,
+    threads: usize,
+    until: Until,
+) -> RunResult {
+    let barrier = Barrier::new(threads);
     std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(threads);
-        for t in 0..threads {
-            let barrier = &barrier;
-            let mut gen = spec.generator(t);
-            handles.push(s.spawn(move || {
-                let mut ins_ok = 0u64;
-                let mut del_ok = 0u64;
-                barrier.wait();
-                for _ in 0..ops_per_thread {
-                    match gen.next_op() {
-                        Operation::Contains(k) => {
-                            std::hint::black_box(map.contains(&k));
-                        }
-                        Operation::Insert(k, v) => ins_ok += u64::from(map.insert(k, v)),
-                        Operation::Remove(k) => del_ok += u64::from(map.remove(&k)),
-                    }
-                }
-                (ins_ok, del_ok)
-            }));
-        }
-        barrier.wait();
-        let start = Instant::now();
-        for (t, h) in handles.into_iter().enumerate() {
-            let (ins_ok, del_ok) = h.join().expect("worker panicked");
-            per_thread_ops[t] = ops_per_thread;
-            successful_inserts += ins_ok;
-            successful_deletes += del_ok;
-        }
-        elapsed = start.elapsed();
-        latency = Histogram::new();
-    });
+        let workers: Vec<_> = (0..threads)
+            .map(|t| {
+                let barrier = &barrier;
+                let mut gen = spec.generator(t);
+                s.spawn(move || {
+                    barrier.wait();
+                    work(map, &mut gen, until)
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("worker panicked"))
+            .fold(RunResult::default(), |sum, r| RunResult {
+                total_ops: sum.total_ops + r.total_ops,
+                successful_inserts: sum.successful_inserts + r.successful_inserts,
+                successful_deletes: sum.successful_deletes + r.successful_deletes,
+            })
+    })
+}
 
-    RunResult {
-        threads,
-        total_ops: per_thread_ops.iter().sum(),
-        per_thread_ops,
-        elapsed,
-        successful_inserts,
-        successful_deletes,
-        latency,
+/// The one worker loop behind [`run_for`] and [`run_ops`].
+fn work<M: ConcurrentMap<u64, u64> + ?Sized>(
+    map: &M,
+    gen: &mut OpGenerator,
+    until: Until,
+) -> RunResult {
+    let (deadline, budget) = match until {
+        Until::Elapsed(d) => (Some(Instant::now() + d), u64::MAX),
+        Until::Ops(n) => (None, n),
+    };
+    let mut counts = RunResult::default();
+    while counts.total_ops < budget {
+        // Read the clock once per 128 operations, off the hot path.
+        if counts.total_ops % 128 == 0 && deadline.is_some_and(|d| Instant::now() >= d) {
+            break;
+        }
+        match gen.next_op() {
+            Operation::Contains(k) => {
+                std::hint::black_box(map.contains(&k));
+            }
+            Operation::Insert(k, v) => counts.successful_inserts += u64::from(map.insert(k, v)),
+            Operation::Remove(k) => counts.successful_deletes += u64::from(map.remove(&k)),
+        }
+        counts.total_ops += 1;
     }
+    counts
 }
 
 /// Validates a map after a run: the set of keys reported by `contains`
@@ -277,16 +176,12 @@ mod tests {
     }
 
     #[test]
-    fn run_for_produces_sane_numbers() {
+    fn run_for_stops_at_the_deadline_with_exact_accounting() {
         let map = Locked::default();
         let spec = WorkloadSpec::read_heavy(256);
         prefill(&map, &spec);
         let r = run_for(&map, &spec, 2, Duration::from_millis(50));
-        assert_eq!(r.threads, 2);
         assert!(r.total_ops > 0);
-        assert!(r.mops() > 0.0);
-        assert!(r.fairness() > 0.0 && r.fairness() <= 1.0);
-        assert!(r.latency.count() > 0);
         validate_after_run(&map, &spec, &r).unwrap();
     }
 

@@ -8,7 +8,7 @@
 
 use crate::{
     check_linearizable, prefill, record_history, run_for, run_ops, validate_after_run, CompletedOp,
-    Histogram, KeyDist, OpMix, WorkloadSpec,
+    KeyDist, OpMix, WorkloadSpec,
 };
 use nbbst_dictionary::{ConcurrentMap, Operation, Response, SeqMap};
 use std::collections::BTreeMap;
@@ -122,127 +122,6 @@ fn checker_rejects_tampered_history() {
         check_linearizable(&history, &[]).is_err(),
         "tampered history must be rejected"
     );
-}
-
-#[test]
-fn histogram_composes_with_runner() {
-    let spec = WorkloadSpec::read_heavy(64);
-    let map = Locked::default();
-    prefill(&map, &spec);
-    let r = run_for(&map, &spec, 2, Duration::from_millis(30));
-    let h: &Histogram = &r.latency;
-    assert!(h.count() > 0);
-    assert!(h.percentile(50.0) <= h.percentile(99.9));
-    assert!(h.min() <= h.max());
-}
-
-#[test]
-fn fairness_is_one_for_equal_workers() {
-    let spec = WorkloadSpec::read_heavy(64);
-    let map = Locked::default();
-    let r = run_ops(&map, &spec, 4, 100);
-    assert_eq!(r.fairness(), 1.0, "run_ops gives every worker equal ops");
-}
-
-/// Merging partial histograms (per-thread or per-shard) must behave like
-/// a commutative monoid over the recorded multiset: these tests pin the
-/// properties the sharded frontend's merged reporting relies on.
-mod histogram_merge {
-    use super::Histogram;
-
-    fn recorded(values: impl IntoIterator<Item = u64>) -> Histogram {
-        let mut h = Histogram::new();
-        for v in values {
-            h.record(v);
-        }
-        h
-    }
-
-    fn same_summary(a: &Histogram, b: &Histogram) {
-        assert_eq!(a.count(), b.count());
-        assert_eq!(a.min(), b.min());
-        assert_eq!(a.max(), b.max());
-        assert_eq!(a.mean(), b.mean());
-        for p in [1.0, 10.0, 50.0, 90.0, 99.0, 99.9, 100.0] {
-            assert_eq!(a.percentile(p), b.percentile(p), "p{p}");
-        }
-    }
-
-    #[test]
-    fn merge_is_associative() {
-        // Three per-shard partials with very different ranges; both
-        // association orders must agree on every summary statistic
-        // (bucket counts add, so this is exact, not approximate).
-        let parts = || {
-            [
-                recorded((0..500).map(|v| v * 7 % 300)),
-                recorded((0..500).map(|v| 1_000 + v * 13 % 5_000)),
-                recorded((0..500).map(|v| 100_000 + v * 31)),
-            ]
-        };
-        let [a1, b1, c1] = parts();
-        let [a2, mut b2, c2] = parts();
-
-        // (a ⊕ b) ⊕ c
-        let mut left = a1.clone();
-        left.merge(&b1);
-        left.merge(&c1);
-        // a ⊕ (b ⊕ c)
-        b2.merge(&c2);
-        let mut right = a2.clone();
-        right.merge(&b2);
-
-        same_summary(&left, &right);
-    }
-
-    #[test]
-    fn merge_is_commutative_and_count_preserving() {
-        let a = recorded((0..1_000).map(|v| v * 17 % 4_096));
-        let b = recorded((0..250).map(|v| v * 97 % 65_536));
-
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-
-        same_summary(&ab, &ba);
-        assert_eq!(ab.count(), a.count() + b.count());
-    }
-
-    #[test]
-    fn empty_is_identity() {
-        let a = recorded([5, 500, 50_000]);
-        let mut merged = a.clone();
-        merged.merge(&Histogram::new());
-        same_summary(&merged, &a);
-
-        let mut from_empty = Histogram::new();
-        from_empty.merge(&a);
-        same_summary(&from_empty, &a);
-    }
-
-    #[test]
-    fn merged_quantile_error_stays_bounded() {
-        // 1..=100_000 split round-robin across 4 "shards": after merging,
-        // the documented ~6% relative quantile error bound (log buckets ×
-        // 16 sub-buckets) must still hold — merging adds bucket counts and
-        // never widens buckets, so the bound is unchanged.
-        let mut shards = vec![Histogram::new(); 4];
-        for v in 1..=100_000u64 {
-            shards[(v % 4) as usize].record(v);
-        }
-        let mut merged = Histogram::new();
-        for s in &shards {
-            merged.merge(s);
-        }
-        assert_eq!(merged.count(), 100_000);
-        for p in [10.0, 50.0, 90.0, 99.0, 99.9] {
-            let exact = (p / 100.0 * 100_000.0) as u64;
-            let approx = merged.percentile(p);
-            let err = (approx as f64 - exact as f64).abs() / exact as f64;
-            assert!(err < 0.08, "p{p}: exact {exact} approx {approx} err {err}");
-        }
-    }
 }
 
 /// The sharded frontend reports `StatsSnapshot::merged` over per-shard

@@ -1043,30 +1043,6 @@ impl Guard {
             None => d.execute(),
         }
     }
-
-    /// Temporarily unpins the thread, runs `f`, and repins.
-    ///
-    /// Any `Shared` loaded before this call must not be used afterwards;
-    /// the borrow checker enforces this because the guard is mutably
-    /// borrowed for the duration.
-    pub fn repin_after<F: FnOnce() -> R, R>(&mut self, f: F) -> R {
-        // SAFETY: non-null `local` is kept live by our `guard_count`
-        // reference; null is the unprotected guard (else branch).
-        if let Some(local) = unsafe { self.local.as_ref() } {
-            // Only sound to fully unpin when this is the sole guard.
-            assert_eq!(
-                local.guard_count.get(),
-                1,
-                "repin_after requires the outermost guard"
-            );
-            local.unpin();
-            let result = f();
-            local.pin();
-            result
-        } else {
-            f()
-        }
-    }
 }
 
 impl Drop for Guard {
@@ -1373,27 +1349,5 @@ mod tests {
         // Re-registering reuses the slot without crashing.
         let h = collector.register();
         drop(h.pin());
-    }
-
-    #[test]
-    fn repin_after_allows_advancement() {
-        let collector = Collector::new();
-        let handle = collector.register();
-        let mut guard = handle.pin();
-        let before = collector.stats().global_epoch;
-        guard.repin_after(|| {
-            // While unpinned, another participant can advance the epoch
-            // multiple times.
-            for _ in 0..4 {
-                collector.flush();
-                drop(collector.pin());
-            }
-        });
-        let after = collector.stats().global_epoch;
-        assert!(
-            after >= before + 2,
-            "epoch should run ahead: {before} -> {after}"
-        );
-        drop(guard);
     }
 }

@@ -37,18 +37,13 @@
 //!
 //! Per-shard trees are ordered, so the frontend offers global ordered
 //! reads — [`ShardedNbBst::range_snapshot`], [`ShardedNbBst::min_key`],
-//! [`ShardedNbBst::max_key`], [`ShardedNbBst::for_each_entry`] — whose
-//! cost depends on the route. Under an **ordered** route
-//! (`RangeRoute`; see [`ShardRoute::is_ordered`]) each shard owns a
-//! contiguous key interval, so a range query visits only the shards the
-//! route says can overlap the bounds and *concatenates* their snapshots;
-//! under a hash route every shard may own keys anywhere, so the frontend
-//! takes all per-shard snapshots and **k-way-merges** them. Both are
-//! weakly consistent (exact at quiescence), like the per-shard
-//! snapshots they are built from. [`ShardedNbBst::shard_load_report`]
-//! surfaces the trade-off at runtime: ordered routing under a skewed
-//! key distribution concentrates traffic, and the report names the hot
-//! shard.
+//! [`ShardedNbBst::max_key`], [`ShardedNbBst::for_each_entry`]. A route
+//! may send a key anywhere, so every shard may own keys in any interval:
+//! the frontend takes all per-shard snapshots and **k-way-merges** them.
+//! The result is weakly consistent (exact at quiescence), like the
+//! per-shard snapshots it is built from. [`ShardedNbBst::shard_load_report`]
+//! names the hot shard when a route or a skewed key distribution
+//! concentrates traffic.
 //!
 //! ## What `size` means here
 //!
@@ -314,20 +309,16 @@ where
     /// sorted by key. Weakly consistent (each shard is snapshotted at
     /// its own instant; exact at quiescence).
     ///
-    /// Under an ordered route only the shards whose intervals overlap
-    /// the bounds are visited and their snapshots concatenate; under a
-    /// hash route every shard is snapshotted and the results are
-    /// k-way-merged. Inverted bounds yield an empty vector.
+    /// Every shard is snapshotted and the results are k-way-merged.
+    /// Inverted bounds yield an empty vector.
     ///
     /// # Examples
     ///
     /// ```
     /// use nbbst_sharded::ShardedNbBst;
-    /// use nbbst_dictionary::{RangeRoute, UniformU64};
     /// use std::ops::Bound;
     ///
-    /// let route = RangeRoute::even(&UniformU64 { lo: 0, hi: 99 }, 4);
-    /// let m: ShardedNbBst<u64, u64, _> = ShardedNbBst::with_route_and_shards(route, 4);
+    /// let m: ShardedNbBst<u64, u64> = ShardedNbBst::with_shards(4);
     /// for k in [5u64, 30, 55, 80] {
     ///     m.insert_entry(k, k).unwrap();
     /// }
@@ -335,72 +326,44 @@ where
     /// assert_eq!(mid, vec![(30, 30), (55, 55)]);
     /// ```
     pub fn range_snapshot(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<(K, V)> {
-        let n = self.shards.len();
-        if self.route.is_ordered() {
-            let mut out = Vec::new();
-            for s in self.route.covering_shards(lo, hi, n) {
-                out.extend(self.shards[s].range_snapshot(lo, hi));
-            }
-            out
-        } else {
-            merge_ordered(
-                self.shards
-                    .iter()
-                    .map(|s| s.range_snapshot(lo, hi).into_iter())
-                    .collect(),
-            )
-        }
+        merge_ordered(
+            self.shards
+                .iter()
+                .map(|s| s.range_snapshot(lo, hi).into_iter())
+                .collect(),
+        )
     }
 
-    /// The smallest key in the whole map (weakly consistent).
-    ///
-    /// Ordered routes stop at the first non-empty shard; hash routes
-    /// take the minimum over every shard's minimum.
+    /// The smallest key in the whole map (weakly consistent): the
+    /// minimum over every shard's minimum.
     pub fn min_key(&self) -> Option<K> {
-        if self.route.is_ordered() {
-            self.shards.iter().find_map(NbBst::min_key)
-        } else {
-            self.shards.iter().filter_map(NbBst::min_key).min()
-        }
+        self.shards.iter().filter_map(NbBst::min_key).min()
     }
 
-    /// The largest key in the whole map (weakly consistent).
-    ///
-    /// Ordered routes stop at the last non-empty shard; hash routes take
-    /// the maximum over every shard's maximum.
+    /// The largest key in the whole map (weakly consistent): the
+    /// maximum over every shard's maximum.
     pub fn max_key(&self) -> Option<K> {
-        if self.route.is_ordered() {
-            self.shards.iter().rev().find_map(NbBst::max_key)
-        } else {
-            self.shards.iter().filter_map(NbBst::max_key).max()
-        }
+        self.shards.iter().filter_map(NbBst::max_key).max()
     }
 
     /// Applies `f` to every `(key, value)` in globally ascending key
     /// order (weakly consistent).
     ///
-    /// Under an ordered route this *streams* shard by shard — O(1) extra
-    /// memory, no cloning, each shard pinned only while it is being
-    /// walked. Under a hash route global order requires materializing
-    /// and merging per-shard snapshots first, so entries are cloned and
-    /// `f` receives references into the merged buffer.
+    /// Global order requires materializing and merging per-shard
+    /// snapshots first, so entries are cloned and `f` receives
+    /// references into the merged buffer.
     pub fn for_each_entry(&self, mut f: impl FnMut(&K, &V)) {
-        if self.route.is_ordered() {
-            for shard in self.shards.iter() {
-                shard.for_each_entry(&mut f);
-            }
-        } else {
-            for (k, v) in self.range_snapshot(Bound::Unbounded, Bound::Unbounded) {
-                f(&k, &v);
-            }
+        for (k, v) in self.range_snapshot(Bound::Unbounded, Bound::Unbounded) {
+            f(&k, &v);
         }
     }
 
     /// Per-shard load breakdown for hot-shard detection, if the map was
     /// built with stats (see [`ShardedNbBst::with_stats`]).
     ///
-    /// Ordered routes trade balanced load for cheap ordered scans; this
-    /// report is how you see the cost. Each [`ShardLoad`] carries the
+    /// A skewed key distribution or a custom route can concentrate
+    /// traffic on one shard; this report is how you see it. Each
+    /// [`ShardLoad`] carries the
     /// shard's completed operation count (finds + inserts + deletes from
     /// the Figure-4 counters) and its current key count; the report's
     /// [`ShardLoadReport::imbalance`] is `max / mean` of per-shard ops
@@ -490,11 +453,16 @@ pub struct ShardLoad {
 ///
 /// ```
 /// use nbbst_sharded::ShardedNbBst;
-/// use nbbst_dictionary::{RangeRoute, UniformU64};
+/// use nbbst_dictionary::ShardRoute;
 ///
-/// // All traffic below key 25 → shard 0 takes everything.
-/// let route = RangeRoute::even(&UniformU64 { lo: 0, hi: 99 }, 4);
-/// let m: ShardedNbBst<u64, u64, _> = ShardedNbBst::with_stats_route_and_shards(route, 4);
+/// // A route that funnels every key to shard 0, which takes everything.
+/// struct OneShard;
+/// impl ShardRoute<u64> for OneShard {
+///     fn shard(&self, _key: &u64, _shards: usize) -> usize {
+///         0
+///     }
+/// }
+/// let m: ShardedNbBst<u64, u64, _> = ShardedNbBst::with_stats_route_and_shards(OneShard, 4);
 /// for k in 0u64..20 {
 ///     m.insert_entry(k, k).unwrap();
 /// }
@@ -752,13 +720,7 @@ mod tests {
 
     #[test]
     fn adversarial_single_shard_route_still_correct() {
-        struct OneShard;
-        impl ShardRoute<u64> for OneShard {
-            fn shard(&self, _key: &u64, _shards: usize) -> usize {
-                0
-            }
-        }
-        let m: ShardedNbBst<u64, u64, OneShard> = ShardedNbBst::with_route_and_shards(OneShard, 8);
+        let m: ShardedNbBst<u64, u64, _> = ShardedNbBst::with_route_and_shards(Funnel(0), 8);
         for k in 0..100u64 {
             m.insert_entry(k, k).unwrap();
         }
@@ -807,8 +769,15 @@ mod tests {
         assert_send_sync::<ShardedNbBst<u64, u64>>();
     }
 
-    use nbbst_dictionary::{RangeRoute, UniformU64};
     use std::ops::Bound;
+
+    /// Funnels every key to one shard, so the others stay empty.
+    struct Funnel(usize);
+    impl ShardRoute<u64> for Funnel {
+        fn shard(&self, _key: &u64, _shards: usize) -> usize {
+            self.0
+        }
+    }
 
     fn keyset() -> Vec<u64> {
         // Pseudorandom but deterministic, spanning [0, 96) with gaps.
@@ -865,31 +834,23 @@ mod tests {
     }
 
     #[test]
-    fn ordered_reads_under_range_route_concatenate() {
+    fn empty_map_ordered_reads() {
         for shards in [1usize, 2, 8] {
-            let route = RangeRoute::even(&UniformU64 { lo: 0, hi: 95 }, shards);
-            let m: ShardedNbBst<u64, u64, _> = ShardedNbBst::with_route_and_shards(route, shards);
-            assert_ordered_reads_match_oracle(&m);
+            let m: ShardedNbBst<u64, u64> = ShardedNbBst::with_shards(shards);
+            assert_eq!(m.min_key(), None);
+            assert_eq!(m.max_key(), None);
+            assert!(m
+                .range_snapshot(Bound::Unbounded, Bound::Unbounded)
+                .is_empty());
+            let mut n = 0;
+            m.for_each_entry(|_, _| n += 1);
+            assert_eq!(n, 0);
         }
     }
 
     #[test]
-    fn empty_map_ordered_reads() {
-        let m: ShardedNbBst<u64, u64> = ShardedNbBst::with_shards(4);
-        assert_eq!(m.min_key(), None);
-        assert_eq!(m.max_key(), None);
-        assert!(m
-            .range_snapshot(Bound::Unbounded, Bound::Unbounded)
-            .is_empty());
-        let mut n = 0;
-        m.for_each_entry(|_, _| n += 1);
-        assert_eq!(n, 0);
-    }
-
-    #[test]
     fn range_snapshot_is_safe_during_concurrent_updates() {
-        let route = RangeRoute::even(&UniformU64 { lo: 0, hi: 255 }, 4);
-        let m: ShardedNbBst<u64, u64, _> = ShardedNbBst::with_route_and_shards(route, 4);
+        let m: ShardedNbBst<u64, u64> = ShardedNbBst::with_shards(4);
         for k in 0..256u64 {
             m.insert_entry(k, k).unwrap();
         }
@@ -917,10 +878,8 @@ mod tests {
 
     #[test]
     fn load_report_names_the_hot_shard_under_skew() {
-        let route = RangeRoute::even(&UniformU64 { lo: 0, hi: 1023 }, 8);
-        let m: ShardedNbBst<u64, u64, _> = ShardedNbBst::with_stats_route_and_shards(route, 8);
-        // Skewed traffic: every key lives in shard 2's interval
-        // [256, 384).
+        let m: ShardedNbBst<u64, u64, _> = ShardedNbBst::with_stats_route_and_shards(Funnel(2), 8);
+        // Skewed traffic: the route sends every key to shard 2.
         for k in 256u64..384 {
             m.insert_entry(k, k).unwrap();
             m.contains_key(&k);

@@ -3,8 +3,9 @@
 //! Models the workload the paper's introduction motivates: a dictionary
 //! hammered by many threads with a read-mostly mix, where update
 //! operations must never block readers (or each other, when they touch
-//! different keys). Prints live throughput and the tree's CAS/helping
-//! statistics.
+//! different keys). Prints operation counts and the tree's CAS/helping
+//! statistics; for throughput and latency, run `perfbench` (see
+//! `BENCHMARK.json`).
 //!
 //! ```bash
 //! cargo run --release --example concurrent_kv_store
@@ -31,22 +32,7 @@ fn main() {
     let result = run_for(&store, &spec, threads, Duration::from_secs(2));
 
     println!();
-    println!(
-        "throughput: {:.3} Mops/s ({} ops)",
-        result.mops(),
-        result.total_ops
-    );
-    println!(
-        "fairness (slowest/fastest worker): {:.2}",
-        result.fairness()
-    );
-    println!(
-        "latency: p50={}ns p99={}ns p99.9={}ns max={}ns",
-        result.latency.percentile(50.0),
-        result.latency.percentile(99.0),
-        result.latency.percentile(99.9),
-        result.latency.max()
-    );
+    println!("operations: {}", result.total_ops);
     println!(
         "successful logins: {}, successful logouts: {}",
         result.successful_inserts, result.successful_deletes

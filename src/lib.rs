@@ -13,7 +13,8 @@
 //! * [`reclaim`] — the epoch-based memory-reclamation substrate.
 //! * [`model`] — sequential reference models.
 //! * [`baselines`] — a coarse-lock comparator and the naive tree of Figure 3.
-//! * [`harness`] — workloads, throughput runners, linearizability checking.
+//! * [`harness`] — workloads, drivers with exact accounting,
+//!   linearizability checking. `perfbench` (its own workspace) measures.
 //! * [`ShardedNbBst`] / [`sharded`] — key-space partitioning across
 //!   independent EFRB trees behind one [`ConcurrentMap`] and one
 //!   reclamation domain.
@@ -36,7 +37,7 @@
 //! deterministic schedule exploration, and `EXPERIMENTS.md` for the full
 //! reproduction of the paper's figures.
 
-pub use nbbst_core::{NbBst, NbSet, State, StatsSnapshot};
+pub use nbbst_core::{NbBst, State, StatsSnapshot};
 pub use nbbst_dictionary::{ConcurrentMap, Operation, Response, SeqMap};
 pub use nbbst_sharded::ShardedNbBst;
 
@@ -52,7 +53,7 @@ pub use nbbst_model as model;
 /// Comparator dictionaries ([`nbbst_baselines`]).
 pub use nbbst_baselines as baselines;
 
-/// Workloads and measurement ([`nbbst_harness`]).
+/// Workloads, drivers and linearizability checking ([`nbbst_harness`]).
 pub use nbbst_harness as harness;
 
 /// Sharded frontend over the EFRB tree ([`nbbst_sharded`]).

@@ -2,7 +2,7 @@
 //!
 //! Rounds of: plant crashed operations at random circuit points (the
 //! paper's crash-failure model), then hammer the tree from worker threads
-//! with mixed operations, cleaning searches and whole-tree snapshots, and
+//! with mixed operations and whole-tree snapshots, and
 //! finally validate structure, Figure-4 circuit identities (abandoned-
 //! tolerant) and membership/snapshot agreement.
 
@@ -85,13 +85,8 @@ fn chaos_rounds_with_crashes_churn_and_cleanup() {
                             1 => {
                                 tree.remove(&k);
                             }
-                            2 => {
-                                tree.contains(&k);
-                            }
                             _ => {
-                                // The Section-6 cleaning search clears
-                                // marked corpses as it goes.
-                                tree.contains_with_cleanup(&k);
+                                tree.contains_key(&k);
                             }
                         }
                     }

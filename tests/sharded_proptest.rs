@@ -7,7 +7,7 @@
 
 use nbbst::sharded::ShardedNbBst;
 use nbbst::SeqMap;
-use nbbst_dictionary::{FibonacciRoute, RangeRoute, ShardRoute, UniformU64};
+use nbbst_dictionary::{FibonacciRoute, ShardRoute};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -23,6 +23,16 @@ fn colliding_keys() -> Vec<u64> {
         .collect();
     assert!(keys.len() >= 32, "route too uniform to find collisions?");
     keys
+}
+
+/// Funnels every key to the last shard, so the k-way merge meets empty
+/// shards before the one that holds everything.
+struct LastShard;
+
+impl ShardRoute<u64> for LastShard {
+    fn shard(&self, _key: &u64, shards: usize) -> usize {
+        shards - 1
+    }
 }
 
 /// Replays `ops` against the sharded map and the oracle, asserting every
@@ -191,9 +201,8 @@ proptest! {
     }
 
     /// `range_snapshot` / `min_key` / `max_key` vs the `BTreeMap` oracle
-    /// at every shard count, under the hash route (k-way merge path) and
-    /// the range route (covering-shards concatenation path), including
-    /// inverted and degenerate bounds.
+    /// at every shard count under the hash route, including inverted and
+    /// degenerate bounds.
     #[test]
     fn sharded_range_snapshot_matches_btreemap(
         ops in proptest::collection::vec((0u8..2, 0u64..96), 0..250),
@@ -207,21 +216,13 @@ proptest! {
                 &ops,
                 &queries,
             )?;
-            let route = RangeRoute::even(&UniformU64 { lo: 0, hi: 95 }, shards);
-            replay_and_check_ranges(
-                ShardedNbBst::with_route_and_shards(route, shards),
-                "range",
-                shards,
-                &ops,
-                &queries,
-            )?;
         }
     }
 
     /// All keys on one shard: the hash-route collision set funnels the
-    /// 8-way map through shard 0, and under the range route every key
-    /// sits below the first split point — both must still agree with the
-    /// oracle (seven shards contribute nothing to the merge/concat).
+    /// 8-way map through shard 0, and the [`LastShard`] route funnels any
+    /// key through shard 7 — both must still agree with the oracle (seven
+    /// shards contribute nothing to the merge).
     #[test]
     fn sharded_range_snapshot_all_keys_one_shard(
         ops in proptest::collection::vec(
@@ -238,13 +239,10 @@ proptest! {
             &ops,
             &queries,
         )?;
-        // Universe [0, 95] over 8 shards puts the first split at 12, so
-        // keys 0..12 all route to shard 0.
-        let route = RangeRoute::even(&UniformU64 { lo: 0, hi: 95 }, 8);
-        let map = ShardedNbBst::with_route_and_shards(route, 8);
+        let map = ShardedNbBst::with_route_and_shards(LastShard, 8);
         for &(_, k) in &low_ops {
-            prop_assert_eq!(map.shard_of(&k), 0);
+            prop_assert_eq!(map.shard_of(&k), 7);
         }
-        replay_and_check_ranges(map, "range-one-shard", 8, &low_ops, &queries)?;
+        replay_and_check_ranges(map, "last-shard", 8, &low_ops, &queries)?;
     }
 }
