@@ -18,7 +18,7 @@
 
 use crate::node::{internal_ptr, NodePtrExt, NodeRef};
 use crate::tree::NbBst;
-use crate::view::InorderCursor;
+use crate::view::{InorderCursor, Step};
 use std::ops::Bound;
 
 impl<K, V> NbBst<K, V>
@@ -128,12 +128,55 @@ where
     /// [`NbBst::for_each_entry`] restricted to `[lo, hi]`-style bounds,
     /// pruning subtrees outside the range during the descent. Keys come
     /// strictly ascending, each at most once, even under concurrent
-    /// updates.
+    /// updates. The one-tree case of [`NbBst::for_each_merged`].
     pub fn for_each_in_range(&self, lo: Bound<&K>, hi: Bound<&K>, mut f: impl FnMut(&K, &V)) {
+        // One slot: reserving 32 moved a caller's output buffer (read_mostly RSS +4 MiB).
         let guard = self.pin();
-        let mut cursor = InorderCursor::new(self.root(), &guard, lo, hi);
-        while let Some((k, v)) = cursor.next_entry() {
+        let mut cursor = InorderCursor::new(self.root(), &guard, lo, hi, 1);
+        while let Step::Entry(k, v) = cursor.next_entry() {
             f(k, v);
+        }
+    }
+
+    /// [`NbBst::for_each_in_range`] over all of `trees` in one ascending
+    /// order (a key in several trees comes once per tree, lowest index
+    /// first). Each tree is pinned (a shared collector pins once and nests
+    /// the rest) and walked by a cursor. The cursors take a node each per
+    /// round until each holds an entry, so the trees' cold descents
+    /// overlap; a linear minimum over their next entries then merges them.
+    pub fn for_each_merged(
+        trees: &[Self],
+        lo: Bound<&K>,
+        hi: Bound<&K>,
+        mut f: impl FnMut(&K, &V),
+    ) {
+        if let [tree] = trees {
+            return tree.for_each_in_range(lo, hi, f);
+        }
+        let guards: Vec<_> = trees.iter().map(Self::pin).collect();
+        // Eight stacks grown slot by slot cost ~30 reallocations a scan.
+        let mut lanes: Vec<_> = trees
+            .iter()
+            .zip(&guards)
+            .map(|(t, g)| (InorderCursor::new(t.root(), g, lo, hi, 32), Step::More))
+            .collect();
+        while lanes.iter().any(|(_, head)| matches!(head, Step::More)) {
+            for (cursor, head) in lanes.iter_mut().filter(|(_, h)| matches!(h, Step::More)) {
+                *head = cursor.step();
+                cursor.prefetch_next();
+            }
+        }
+        loop {
+            // `min_by_key` keeps the first of equal keys: the lowest index.
+            let min = (lanes.iter().enumerate())
+                .filter_map(|(i, (_, head))| match *head {
+                    Step::Entry(k, v) => Some((k, v, i)),
+                    _ => None,
+                })
+                .min_by_key(|&(k, ..)| k);
+            let Some((k, v, i)) = min else { return };
+            f(k, v);
+            lanes[i].1 = lanes[i].0.next_entry();
         }
     }
 }

@@ -46,6 +46,13 @@ fn in_hi<K: Ord>(k: &K, hi: Bound<&K>) -> bool {
     }
 }
 
+/// What one [`InorderCursor::step`] did.
+pub(crate) enum Step<'g, K, V> {
+    Entry(&'g K, &'g V),
+    More,
+    Done,
+}
+
 /// A pinned in-order cursor over the entries of the tree within
 /// `[lo, hi]`-style bounds — the reusable explicit-stack walk behind every
 /// snapshot-style view.
@@ -74,15 +81,18 @@ pub(crate) struct InorderCursor<'g, 'b, K, V> {
 
 impl<'g, 'b, K: Ord, V> InorderCursor<'g, 'b, K, V> {
     /// A cursor over the entries of the subtree under `root` within the
-    /// bounds.
+    /// bounds, its stack sized for `capacity` pending nodes.
     pub(crate) fn new(
         root: &'g Internal<K, V>,
         guard: &'g Guard,
         lo: Bound<&'b K>,
         hi: Bound<&'b K>,
+        capacity: usize,
     ) -> Self {
+        let mut stack = Vec::with_capacity(capacity);
+        stack.push(internal_ptr(root));
         InorderCursor {
-            stack: vec![internal_ptr(root)],
+            stack,
             entries: [].iter().zip(&[]),
             last: None,
             guard,
@@ -91,51 +101,74 @@ impl<'g, 'b, K: Ord, V> InorderCursor<'g, 'b, K, V> {
         }
     }
 
-    /// The next entry in strictly ascending key order, or `None` when
-    /// exhausted.
-    pub(crate) fn next_entry(&mut self) -> Option<(&'g K, &'g V)> {
+    /// Yields the next entry of the current leaf, or else visits one node.
+    #[inline(always)]
+    pub(crate) fn step(&mut self) -> Step<'g, K, V> {
+        for (k, v) in self.entries.by_ref() {
+            if self.last.is_some_and(|last| k <= last) || !in_lo(k, self.lo) {
+                continue;
+            }
+            if !in_hi(k, self.hi) {
+                // Everything still ahead is larger.
+                self.stack.clear();
+                self.entries = [].iter().zip(&[]);
+                return Step::Done;
+            }
+            self.last = Some(k);
+            return Step::Entry(k, v);
+        }
+        let Some(word) = self.stack.pop() else {
+            return Step::Done;
+        };
+        // SAFETY: the root, or a child word read under the pin.
+        let node = match unsafe { word.node() } {
+            NodeRef::Leaf(leaf) => {
+                self.entries = leaf.keys().iter().zip(leaf.values());
+                return Step::More;
+            }
+            NodeRef::Internal(node) => node,
+        };
+        // BST property: left subtree < node.key <= right subtree. Prune:
+        // skip left if everything there is below `lo`; skip right if
+        // node.key is beyond `hi`. Sentinel routing keys cannot prune
+        // (their left subtree holds all real keys).
+        let visit_left = match (&node.key, self.lo) {
+            (SentinelKey::Key(nk), Bound::Included(b) | Bound::Excluded(b)) => nk > b,
+            _ => true,
+        };
+        let visit_right = match (&node.key, self.hi) {
+            (SentinelKey::Key(nk), Bound::Included(b)) => nk <= b,
+            (SentinelKey::Key(nk), Bound::Excluded(b)) => nk < b,
+            _ => true,
+        };
+        // Right first so the left child pops (and yields) first.
+        if visit_right {
+            self.stack.push(node.load_child(false, self.guard));
+        }
+        if visit_left {
+            self.stack.push(node.load_child(true, self.guard));
+        }
+        Step::More
+    }
+
+    /// Starts loading the node the cursor visits next, while other
+    /// cursors take their steps.
+    pub(crate) fn prefetch_next(&self) {
+        #[cfg(all(target_arch = "x86_64", not(loom), not(miri)))]
+        if let Some(next) = self.stack.last() {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            // SAFETY: a prefetch is a hint; it faults on no address.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(next.as_raw().cast()) };
+        }
+    }
+
+    /// Steps until the next entry ([`Step::Entry`]) or the end
+    /// ([`Step::Done`]).
+    pub(crate) fn next_entry(&mut self) -> Step<'g, K, V> {
         loop {
-            for (k, v) in self.entries.by_ref() {
-                if self.last.is_some_and(|last| k <= last) || !in_lo(k, self.lo) {
-                    continue;
-                }
-                if !in_hi(k, self.hi) {
-                    // Everything still ahead is larger.
-                    self.stack.clear();
-                    self.entries = [].iter().zip(&[]);
-                    return None;
-                }
-                self.last = Some(k);
-                return Some((k, v));
-            }
-            let word = self.stack.pop()?;
-            // SAFETY: the root, or a child word read under the pin.
-            let node = match unsafe { word.node() } {
-                NodeRef::Leaf(leaf) => {
-                    self.entries = leaf.keys().iter().zip(leaf.values());
-                    continue;
-                }
-                NodeRef::Internal(node) => node,
-            };
-            // BST property: left subtree < node.key <= right subtree.
-            // Prune: skip left if everything there is below `lo`; skip
-            // right if node.key is already above `hi`. Sentinel routing
-            // keys cannot prune (their left subtree holds all real keys).
-            let visit_left = match (&node.key, self.lo) {
-                (SentinelKey::Key(nk), Bound::Included(b) | Bound::Excluded(b)) => nk > b,
-                _ => true,
-            };
-            // Keys >= nk may still be < an excluded `b`.
-            let visit_right = match (&node.key, self.hi) {
-                (SentinelKey::Key(nk), Bound::Included(b) | Bound::Excluded(b)) => nk <= b,
-                _ => true,
-            };
-            // Right first so the left child pops (and yields) first.
-            if visit_right {
-                self.stack.push(node.load_child(false, self.guard));
-            }
-            if visit_left {
-                self.stack.push(node.load_child(true, self.guard));
+            match self.step() {
+                Step::More => {}
+                step => return step,
             }
         }
     }
@@ -368,7 +401,7 @@ where
 
 #[cfg(test)]
 mod tests {
-    use super::InorderCursor;
+    use super::{InorderCursor, Step};
     use crate::node::{Internal, Leaf, NodePtr};
     use crate::{NbBst, State};
     use nbbst_dictionary::SentinelKey;
@@ -526,12 +559,60 @@ mod tests {
         // the last key" filter 10 came out twice.
         let t = tree(&[20, 10, 30]);
         let guard = t.pin();
-        let mut cursor = InorderCursor::new(t.root(), &guard, Bound::Unbounded, Bound::Unbounded);
-        assert_eq!(cursor.next_entry().map(|(k, _)| *k), Some(10));
+        let mut cursor =
+            InorderCursor::new(t.root(), &guard, Bound::Unbounded, Bound::Unbounded, 1);
+        let mut next = || match cursor.next_entry() {
+            Step::Entry(k, _) => Some(*k),
+            _ => None,
+        };
+        assert_eq!(next(), Some(10));
         assert!(t.remove_key(&10));
         t.insert_entry(10, 0).unwrap();
-        let rest: Vec<u64> = std::iter::from_fn(|| cursor.next_entry().map(|(k, _)| *k)).collect();
+        let rest: Vec<u64> = std::iter::from_fn(next).collect();
         assert_eq!(rest, vec![20, 30]);
+    }
+
+    /// `step()` calls until the cursor is done, and the keys it yielded.
+    fn walk(t: &NbBst<u64, u64>, lo: Bound<&u64>, hi: Bound<&u64>) -> (usize, Vec<u64>) {
+        let guard = t.pin();
+        let mut cursor = InorderCursor::new(t.root(), &guard, lo, hi, 1);
+        let (mut steps, mut keys) = (0, Vec::new());
+        loop {
+            steps += 1;
+            match cursor.step() {
+                Step::Entry(k, _) => keys.push(*k),
+                Step::More => {}
+                Step::Done => return (steps, keys),
+            }
+        }
+    }
+
+    #[test]
+    fn excluded_upper_bound_skips_the_right_subtree_of_its_own_key() {
+        // (5) { [1 3], (9) { (8) { (7) { (6) { [5], [6] }, [7] }, [8] }, [9] } }
+        // under the sentinels. Everything right of (5) is >= 5, so below an
+        // excluded 5 it can yield nothing.
+        let n6 = Internal::new(SentinelKey::Key(6), leaf(&[5]), leaf(&[6]));
+        let n7 = Internal::new(SentinelKey::Key(7), n6.into_ptr(), leaf(&[7]));
+        let n8 = Internal::new(SentinelKey::Key(8), n7.into_ptr(), leaf(&[8]));
+        let n9 = Internal::new(SentinelKey::Key(9), n8.into_ptr(), leaf(&[9]));
+        let n5 = Internal::new(SentinelKey::Key(5), leaf(&[1, 3]), n9.into_ptr());
+        let t = handmade(n5.into_ptr());
+        t.check_invariants().unwrap();
+        // Root, (∞1), (5), [1 3], entries 1 and 3, the [∞1] and [∞2]
+        // leaves, and the final `Done`. Descending into (9) as well would
+        // take (9), (8), (7), (6) and [5] before 5 ended the walk: 12.
+        let (steps, keys) = walk(&t, Bound::Unbounded, Bound::Excluded(&5));
+        assert_eq!(keys, vec![1, 3]);
+        assert_eq!(steps, 9);
+        // The same walk as below an excluded 4, where (5) prunes anyway.
+        assert_eq!(
+            walk(&t, Bound::Unbounded, Bound::Excluded(&4)),
+            (9, vec![1, 3])
+        );
+        // An included 5 still has to visit that subtree.
+        let (_, keys) = walk(&t, Bound::Unbounded, Bound::Included(&5));
+        assert_eq!(keys, vec![1, 3, 5]);
     }
 
     #[test]

@@ -39,9 +39,9 @@
 //! reads — [`ShardedNbBst::range_snapshot`], [`ShardedNbBst::min_key`],
 //! [`ShardedNbBst::max_key`], [`ShardedNbBst::for_each_entry`]. A route
 //! may send a key anywhere, so every shard may own keys in any interval:
-//! the frontend takes all per-shard snapshots and **k-way-merges** them.
-//! The result is weakly consistent (exact at quiescence), like the
-//! per-shard snapshots it is built from. [`ShardedNbBst::shard_load_report`]
+//! the frontend walks all shards at once ([`NbBst::for_each_merged`]: one
+//! cursor per shard, their descents overlapped, merged in place). The
+//! result is weakly consistent (exact at quiescence). [`ShardedNbBst::shard_load_report`]
 //! names the hot shard when a route or a skewed key distribution
 //! concentrates traffic.
 //!
@@ -69,8 +69,6 @@
 use nbbst_core::{NbBst, StatsSnapshot};
 use nbbst_dictionary::{ConcurrentMap, FibonacciRoute, ShardRoute};
 use nbbst_reclaim::Collector;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::fmt;
 use std::hash::Hash;
 use std::ops::Bound;
@@ -309,8 +307,8 @@ where
     /// sorted by key. Weakly consistent (each shard is snapshotted at
     /// its own instant; exact at quiescence).
     ///
-    /// Every shard is snapshotted and the results are k-way-merged.
-    /// Inverted bounds yield an empty vector.
+    /// One walk over every shard ([`NbBst::for_each_merged`]). Inverted
+    /// bounds yield an empty vector.
     ///
     /// # Examples
     ///
@@ -326,12 +324,11 @@ where
     /// assert_eq!(mid, vec![(30, 30), (55, 55)]);
     /// ```
     pub fn range_snapshot(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<(K, V)> {
-        merge_ordered(
-            self.shards
-                .iter()
-                .map(|s| s.range_snapshot(lo, hi).into_iter())
-                .collect(),
-        )
+        let mut out = Vec::new();
+        NbBst::for_each_merged(&self.shards, lo, hi, |k, v| {
+            out.push((k.clone(), v.clone()))
+        });
+        out
     }
 
     /// The smallest key in the whole map (weakly consistent): the
@@ -347,15 +344,11 @@ where
     }
 
     /// Applies `f` to every `(key, value)` in globally ascending key
-    /// order (weakly consistent).
-    ///
-    /// Global order requires materializing and merging per-shard
-    /// snapshots first, so entries are cloned and `f` receives
-    /// references into the merged buffer.
-    pub fn for_each_entry(&self, mut f: impl FnMut(&K, &V)) {
-        for (k, v) in self.range_snapshot(Bound::Unbounded, Bound::Unbounded) {
-            f(&k, &v);
-        }
+    /// order (weakly consistent), without cloning: the shards are merged
+    /// as they are walked ([`NbBst::for_each_merged`]), and the
+    /// references are valid only inside `f`.
+    pub fn for_each_entry(&self, f: impl FnMut(&K, &V)) {
+        NbBst::for_each_merged(&self.shards, Bound::Unbounded, Bound::Unbounded, f);
     }
 
     /// Per-shard load breakdown for hot-shard detection, if the map was
@@ -383,55 +376,6 @@ where
             .collect();
         Some(ShardLoadReport::new(loads))
     }
-}
-
-/// K-way merge of per-shard sorted snapshots into one sorted vector.
-///
-/// Routing is pure, so no key appears in two shards; ties are broken by
-/// shard index anyway to keep the merge total without requiring
-/// `V: Ord`.
-fn merge_ordered<K: Ord, V>(mut iters: Vec<std::vec::IntoIter<(K, V)>>) -> Vec<(K, V)> {
-    struct Entry<K, V> {
-        key: K,
-        value: V,
-        shard: usize,
-    }
-    impl<K: Ord, V> PartialEq for Entry<K, V> {
-        fn eq(&self, other: &Self) -> bool {
-            self.key == other.key && self.shard == other.shard
-        }
-    }
-    impl<K: Ord, V> Eq for Entry<K, V> {}
-    impl<K: Ord, V> PartialOrd for Entry<K, V> {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl<K: Ord, V> Ord for Entry<K, V> {
-        fn cmp(&self, other: &Self) -> Ordering {
-            // Reversed: BinaryHeap is a max-heap, we want the smallest key.
-            other
-                .key
-                .cmp(&self.key)
-                .then_with(|| other.shard.cmp(&self.shard))
-        }
-    }
-
-    let total: usize = iters.iter().map(|it| it.len()).sum();
-    let mut heap = BinaryHeap::with_capacity(iters.len());
-    for (shard, it) in iters.iter_mut().enumerate() {
-        if let Some((key, value)) = it.next() {
-            heap.push(Entry { key, value, shard });
-        }
-    }
-    let mut out = Vec::with_capacity(total);
-    while let Some(Entry { key, value, shard }) = heap.pop() {
-        out.push((key, value));
-        if let Some((key, value)) = iters[shard].next() {
-            heap.push(Entry { key, value, shard });
-        }
-    }
-    out
 }
 
 /// One shard's slice of the load, as reported by
@@ -874,6 +818,179 @@ mod tests {
             writer.join().unwrap();
         });
         m.check_invariants().unwrap();
+    }
+
+    thread_local! {
+        static CLONES_FORBIDDEN: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+
+    /// A value whose `clone` panics while this thread forbids clones.
+    struct NoClone(u64);
+    impl Clone for NoClone {
+        fn clone(&self) -> Self {
+            assert!(
+                !CLONES_FORBIDDEN.with(std::cell::Cell::get),
+                "value {} cloned",
+                self.0
+            );
+            NoClone(self.0)
+        }
+    }
+
+    #[test]
+    fn merged_walk_for_each_entry_never_clones() {
+        for shards in [1usize, 2, 8] {
+            let m: ShardedNbBst<u64, NoClone> = ShardedNbBst::with_shards(shards);
+            // Leaves are copied on write, so building the map clones.
+            for k in 0..200u64 {
+                m.insert_entry(k, NoClone(k * 3)).ok().unwrap();
+            }
+            CLONES_FORBIDDEN.with(|c| c.set(true));
+            let mut seen = Vec::new();
+            m.for_each_entry(|k, v| {
+                assert_eq!(v.0, k * 3);
+                seen.push(*k);
+            });
+            CLONES_FORBIDDEN.with(|c| c.set(false));
+            assert_eq!(seen, (0..200).collect::<Vec<_>>(), "{shards} shards");
+        }
+    }
+
+    /// Sends even keys to shard 0 and odd keys to shard 5, so six of
+    /// eight shards stay empty.
+    struct TwoShards;
+    impl ShardRoute<u64> for TwoShards {
+        fn shard(&self, key: &u64, _shards: usize) -> usize {
+            if key.is_multiple_of(2) {
+                0
+            } else {
+                5
+            }
+        }
+    }
+
+    fn check_every_bound_kind<R: ShardRoute<u64>>(m: &ShardedNbBst<u64, u64, R>) {
+        use std::ops::RangeBounds;
+        let keys = keyset();
+        let mut oracle = BTreeMap::new();
+        for &k in &keys {
+            m.insert_entry(k, k + 1).unwrap();
+            oracle.insert(k, k + 1);
+        }
+        let bounds = |b: u64| [Bound::Unbounded, Bound::Included(b), Bound::Excluded(b)];
+        // Present and absent keys, the ends, an empty and an inverted pair.
+        let edges = [0u64, 3, keys[5], keys[5] + 1, 47, 95, 200];
+        for &a in &edges {
+            for &b in &edges {
+                for lo in bounds(a) {
+                    for hi in bounds(b) {
+                        let want: Vec<(u64, u64)> = oracle
+                            .iter()
+                            .filter(|&(k, _)| (lo, hi).contains(k))
+                            .map(|(&k, &v)| (k, v))
+                            .collect();
+                        let got = m.range_snapshot(lo.as_ref(), hi.as_ref());
+                        assert_eq!(got, want, "{lo:?}..{hi:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn merged_walk_matches_btreemap_for_every_bound_kind() {
+        check_every_bound_kind(&ShardedNbBst::with_route_and_shards(TwoShards, 8));
+        check_every_bound_kind(&ShardedNbBst::with_route_and_shards(Funnel(3), 8));
+        check_every_bound_kind(&ShardedNbBst::<u64, u64>::with_shards(8));
+    }
+
+    #[test]
+    fn merged_walk_stays_ordered_while_shards_churn() {
+        const KEYS: u64 = 512;
+        let rounds: u64 = if cfg!(miri) { 20 } else { 2_000 };
+        let m: ShardedNbBst<u64, u64> = ShardedNbBst::with_shards(8);
+        for k in 0..KEYS {
+            m.insert_entry(k, k).unwrap();
+        }
+        std::thread::scope(|s| {
+            let m = &m;
+            // Writer `w` deletes and re-inserts the keys equal to `w` mod 4,
+            // which span all eight shards; multiples of four stay put.
+            let writers: Vec<_> = [1u64, 3]
+                .into_iter()
+                .map(|w| {
+                    s.spawn(move || {
+                        for i in 0..rounds {
+                            let k = (i * 13) % (KEYS / 4) * 4 + w;
+                            assert!(m.remove_key(&k));
+                            m.insert_entry(k, k).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            for _ in 0..if cfg!(miri) { 2 } else { 100 } {
+                let (lo, hi) = (64u64, 448u64);
+                let got = m.range_snapshot(Bound::Included(&lo), Bound::Excluded(&hi));
+                assert!(
+                    got.windows(2).all(|w| w[0].0 < w[1].0),
+                    "ascending, no repeats"
+                );
+                assert!(got.iter().all(|&(k, v)| (lo..hi).contains(&k) && k == v));
+                let stable: Vec<u64> = got.iter().map(|&(k, _)| k).filter(|k| k % 4 == 0).collect();
+                assert_eq!(
+                    stable,
+                    (lo..hi).step_by(4).collect::<Vec<_>>(),
+                    "untouched keys"
+                );
+                let mut last = None;
+                m.for_each_entry(|k, _| {
+                    assert!(last < Some(*k), "ascending, no repeats");
+                    last = Some(*k);
+                });
+            }
+            for w in writers {
+                w.join().unwrap();
+            }
+        });
+        m.check_invariants().unwrap();
+        assert_eq!(m.len_slow(), KEYS as usize);
+    }
+
+    #[test]
+    fn merged_walk_over_trees_with_their_own_collectors() {
+        // Each tree reclaims through its own collector, so every pin is an
+        // outermost pin; deletions retire nodes in both domains mid-walk.
+        let trees: [NbBst<u64, u64>; 2] = [NbBst::new(), NbBst::new()];
+        assert!(!trees[0].collector().ptr_eq(trees[1].collector()));
+        for k in 0..256u64 {
+            trees[(k % 2) as usize].insert_entry(k, k).unwrap();
+        }
+        let rounds: u64 = if cfg!(miri) { 4 } else { 200 };
+        std::thread::scope(|s| {
+            let trees = &trees;
+            s.spawn(move || {
+                for i in 0..rounds * 8 {
+                    let k = (i * 7) % 256;
+                    let t = &trees[(k % 2) as usize];
+                    if t.remove_key(&k) {
+                        t.insert_entry(k, k).unwrap();
+                    }
+                }
+            });
+            for _ in 0..rounds {
+                let mut last = None;
+                NbBst::for_each_merged(trees, Bound::Unbounded, Bound::Unbounded, |k, v| {
+                    assert_eq!(k, v);
+                    assert!(last < Some(*k));
+                    last = Some(*k);
+                });
+            }
+        });
+        let mut all = Vec::new();
+        NbBst::for_each_merged(&trees, Bound::Unbounded, Bound::Unbounded, |k, _| {
+            all.push(*k)
+        });
+        assert_eq!(all, (0..256).collect::<Vec<_>>());
     }
 
     #[test]
