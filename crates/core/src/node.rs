@@ -18,7 +18,7 @@ use nbbst_reclaim::{Atomic, Guard, Shared};
 use std::cmp::Ordering as CmpOrdering;
 use std::fmt;
 use std::marker::PhantomData;
-use std::mem::MaybeUninit;
+use std::mem::{size_of, MaybeUninit};
 use std::sync::atomic::Ordering;
 
 // Memory orderings are chosen per call site (there is deliberately no
@@ -35,6 +35,38 @@ pub(crate) const LEAF_CAPACITY: usize = 32;
 
 /// Low bit of a child word: set iff the word points at a [`Leaf`].
 const LEAF_TAG: usize = 1;
+
+/// Cache line size of the targets [`prefetch_span`] issues hints on.
+const CACHE_LINE: usize = 64;
+
+/// The address of every cache line that holds a byte of `addr..addr + len`.
+#[inline(always)]
+fn lines(addr: usize, len: usize) -> impl Iterator<Item = usize> {
+    let end = addr + len;
+    std::iter::successors(Some(addr - addr % CACHE_LINE), |line| {
+        Some(line + CACHE_LINE)
+    })
+    .take_while(move |&line| line < end)
+}
+
+/// Starts loading every cache line that holds a byte of `start..start +
+/// len`, without waiting for any of them, so the lines arrive in parallel
+/// instead of as a chain of dependent misses. Only a hint: it reads
+/// nothing the program sees, and is compiled out under loom, under miri
+/// and on targets other than x86_64.
+#[inline(always)]
+pub(crate) fn prefetch_span(start: *const u8, len: usize) {
+    for line in lines(start.addr(), len) {
+        #[cfg(all(target_arch = "x86_64", not(loom), not(miri)))]
+        // SAFETY: a prefetch is a hint; it faults on no address.
+        unsafe {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            _mm_prefetch::<_MM_HINT_T0>(start.with_addr(line).cast());
+        }
+        #[cfg(not(all(target_arch = "x86_64", not(loom), not(miri))))]
+        let _ = line;
+    }
+}
 
 /// The opaque pointee type of a child word: an [`Internal`] node, or a
 /// [`Leaf`] when the word carries [`LEAF_TAG`]. Never constructed; only its
@@ -295,6 +327,16 @@ impl<K, V> Leaf<K, V> {
     /// one); returns its (unpublished) child word.
     pub(crate) fn into_ptr<'g>(self) -> NodePtr<'g, K, V> {
         leaf_ptr(nbbst_reclaim::alloc_box(self))
+    }
+
+    /// Starts loading every line of the leaf, so that a lookup's misses
+    /// overlap instead of following one binary-search probe after another.
+    /// The whole leaf: `Leaf::get` reads the `filled` header and the key
+    /// slots, its callers and `Leaf::replacement` read values too, and
+    /// header and keys alone ran no faster (`BENCH_leaf_prefetch.json`).
+    #[inline(always)]
+    pub(crate) fn prefetch(&self) {
+        prefetch_span(std::ptr::from_ref(self).cast(), size_of::<Self>());
     }
 
     /// The real keys, ascending (empty for a sentinel leaf).
@@ -672,6 +714,75 @@ mod tests {
         assert_eq!(l.get(&4), None);
         assert_eq!(l.len(), 3);
         assert_eq!(l.entries().count(), 3);
+    }
+
+    /// Wherever `leaf` starts within its cache line, the lines
+    /// `Leaf::prefetch` loads hold every byte of its `filled` header, key
+    /// slots and value slots, and each lies within the leaf's extent.
+    fn assert_prefetch_covers<K, V>(leaf: &Leaf<K, V>) {
+        let size = size_of::<Leaf<K, V>>();
+        let offset = |field: *const u8| field.addr() - std::ptr::from_ref(leaf).addr();
+        let mut fields = vec![(
+            offset(std::ptr::from_ref(&leaf.filled).cast()),
+            size_of::<usize>(),
+        )];
+        fields.extend(
+            leaf.keys
+                .iter()
+                .map(|k| (offset(k.as_ptr().cast()), size_of::<K>())),
+        );
+        fields.extend(
+            leaf.values
+                .iter()
+                .map(|v| (offset(v.as_ptr().cast()), size_of::<V>())),
+        );
+        for base in (CACHE_LINE..2 * CACHE_LINE).step_by(std::mem::align_of::<Leaf<K, V>>()) {
+            let loaded: Vec<usize> = lines(base, size).collect();
+            for &(at, len) in &fields {
+                assert!(at + len <= size);
+                for byte in base + at..base + at + len {
+                    assert!(loaded.contains(&(byte - byte % CACHE_LINE)));
+                }
+            }
+            assert!(loaded
+                .iter()
+                .all(|&l| l + CACHE_LINE > base && l < base + size));
+        }
+    }
+
+    #[test]
+    fn prefetch_span_covers_the_header_and_every_slot() {
+        assert_prefetch_covers(&leaf(&[1, 2, 3]));
+        assert_prefetch_covers(&Leaf::<[u64; 4], u64>::with_entries([([7; 4], 7)]));
+        assert_prefetch_covers(&Leaf::<String, u8>::with_entries([("k".to_string(), 1)]));
+        assert_prefetch_covers(&Leaf::<u8, [u64; 3]>::sentinel(&SentinelKey::Inf1));
+    }
+
+    #[test]
+    fn finds_match_btreemap_at_every_fill_level() {
+        use crate::tree::NbBst;
+        use std::collections::BTreeMap;
+        for sentinel in [SentinelKey::Inf1, SentinelKey::Inf2] {
+            assert_eq!(Leaf::<u64, u64>::sentinel(&sentinel).get(&0), None);
+        }
+        // An empty tree's every search ends at the ∞1 sentinel leaf.
+        let empty: NbBst<u64, u64> = NbBst::new();
+        assert!(!empty.contains_key(&0) && !empty.contains_key(&u64::MAX));
+        assert_eq!(empty.get_cloned(&1), None);
+        for fill in 1..=LEAF_CAPACITY as u64 {
+            let tree = NbBst::new();
+            let mut model = BTreeMap::new();
+            for k in (1..=fill).map(|i| 2 * i) {
+                tree.insert_entry(k, k * 10).expect("fresh key");
+                model.insert(k, k * 10);
+            }
+            // Root, the ∞1 node, then one leaf holding all `fill` entries.
+            assert_eq!(tree.height(), 2);
+            for probe in 0..=2 * fill + 1 {
+                assert_eq!(tree.contains_key(&probe), model.contains_key(&probe));
+                assert_eq!(tree.get_cloned(&probe), model.get(&probe).copied());
+            }
+        }
     }
 
     #[test]

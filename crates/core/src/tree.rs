@@ -254,13 +254,17 @@ where
             // node reached from the root.
             match unsafe { l.node() } {
                 NodeRef::Leaf(leaf) => {
+                    // Nothing of the leaf has been read yet: start all of
+                    // its lines now, before `Leaf::get` or
+                    // `Leaf::replacement` probes them one by one.
+                    leaf.prefetch();
                     return SearchResult {
                         gp,
                         p,
                         leaf,
                         pupdate,
                         gpupdate,
-                    }
+                    };
                 }
                 NodeRef::Internal(node) => {
                     gp = Some(p); //                           line 28

@@ -19,7 +19,9 @@
 //! regression tests below, which walk a 100 000-deep path inside a
 //! deliberately tiny (128 KiB) thread stack.
 
-use crate::node::{internal_ptr, Internal, NodePtr, NodePtrExt, NodeRef, UpdateWordExt};
+use crate::node::{
+    internal_ptr, prefetch_span, Internal, NodePtr, NodePtrExt, NodeRef, UpdateWordExt,
+};
 use crate::state::State;
 use crate::tree::NbBst;
 use nbbst_dictionary::{real_vs_node, SentinelKey};
@@ -154,11 +156,8 @@ impl<'g, 'b, K: Ord, V> InorderCursor<'g, 'b, K, V> {
     /// Starts loading the node the cursor visits next, while other
     /// cursors take their steps.
     pub(crate) fn prefetch_next(&self) {
-        #[cfg(all(target_arch = "x86_64", not(loom), not(miri)))]
         if let Some(next) = self.stack.last() {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            // SAFETY: a prefetch is a hint; it faults on no address.
-            unsafe { _mm_prefetch::<_MM_HINT_T0>(next.as_raw().cast()) };
+            prefetch_span(next.as_raw().cast(), 1);
         }
     }
 
