@@ -8,9 +8,11 @@
 //!   anomaly replay.
 //!
 //! [`CoarseLockBst`] implements [`nbbst_dictionary::ConcurrentMap`]; the
-//! naive strawman is an experimental control and runs under the same
-//! epoch-reclamation substrate as the tree.
+//! naive strawman is an experimental control, a single-threaded index
+//! arena whose prepared operations replay the figure's schedules step by
+//! step.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod coarse;
@@ -20,11 +22,11 @@ pub use coarse::CoarseLockBst;
 
 #[cfg(test)]
 mod equivalence {
-    //! The coarse-lock baseline agrees with the sequential model on random
-    //! single-threaded op sequences.
-    use nbbst_dictionary::{ConcurrentMap, Operation, SeqMap};
-    use nbbst_model::VecModel;
+    //! The coarse-lock baseline and the naive tree agree with a `BTreeMap`
+    //! on random single-threaded op sequences.
+    use nbbst_dictionary::{ConcurrentMap, Operation, Response, SeqMap};
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn op_strategy() -> impl Strategy<Value = Operation<u8, u8>> {
         prop_oneof![
@@ -38,7 +40,7 @@ mod equivalence {
         #[test]
         fn coarse_matches_model(ops in proptest::collection::vec(op_strategy(), 0..300)) {
             let map: super::CoarseLockBst<u8, u8> = Default::default();
-            let mut model: VecModel<u8, u8> = VecModel::new();
+            let mut model: BTreeMap<u8, u8> = BTreeMap::new();
             for op in ops {
                 prop_assert_eq!(op.apply(&map), op.apply_seq(&mut model), "{:?}", op);
             }
@@ -49,6 +51,21 @@ mod equivalence {
                     SeqMap::get(&model, &k)
                 );
             }
+        }
+
+        #[test]
+        fn naive_matches_model(ops in proptest::collection::vec(op_strategy(), 0..300)) {
+            let naive: super::naive::NaiveBst<u8, u8> = Default::default();
+            let mut model: BTreeMap<u8, u8> = BTreeMap::new();
+            for op in ops {
+                let got = match op {
+                    Operation::Insert(k, v) => naive.insert(k, v),
+                    Operation::Remove(k) => naive.remove(&k),
+                    Operation::Contains(k) => naive.contains(&k),
+                };
+                prop_assert_eq!(Response::from(got), op.apply_seq(&mut model), "{:?}", op);
+            }
+            prop_assert_eq!(naive.keys_snapshot(), model.keys().copied().collect::<Vec<_>>());
         }
     }
 }

@@ -16,68 +16,64 @@
 //! sequentially correct (verified by property tests) and exists solely as
 //! the experimental control for the EFRB protocol.
 //!
-//! Prepared deletions capture their sibling pointer at *prepare* time, so
-//! memory is never retired here (freed only at drop) — the point is the
-//! lost-update anomaly, not reclamation.
+//! The anomalies come from the order of the steps, not from the memory
+//! model, so the tree is a single-threaded index arena: nodes live in one
+//! `Vec` and children are indices into it. A commit compares and sets one
+//! child slot. Nodes that a commit unlinks stay in the arena until the
+//! tree is dropped, so a stale prepared operation always names a node that
+//! still exists.
 
 use nbbst_dictionary::{real_vs_node, SentinelKey};
-use nbbst_reclaim::{Atomic, Collector, Guard, Shared};
-use std::cmp::Ordering as CmpOrdering;
-use std::fmt;
-use std::sync::atomic::Ordering;
+use std::cell::RefCell;
+use std::cmp::Ordering;
 
-const ORD: Ordering = Ordering::SeqCst;
+/// A node's position in the arena.
+type Idx = usize;
 
-struct NaiveNode<K, V> {
-    key: SentinelKey<K>,
-    value: Option<V>,
-    is_leaf: bool,
-    left: Atomic<NaiveNode<K, V>>,
-    right: Atomic<NaiveNode<K, V>>,
+/// A child slot: the internal node's index and the side (0 left, 1 right).
+type Slot = (Idx, usize);
+
+/// The root is the Figure 6(a) internal `∞2` node, always at index 0.
+const ROOT: Idx = 0;
+
+#[derive(Debug)]
+enum Node<K, V> {
+    Leaf {
+        key: SentinelKey<K>,
+        value: Option<V>,
+    },
+    Internal {
+        key: SentinelKey<K>,
+        child: [Idx; 2],
+    },
 }
 
-unsafe impl<K: Send + Sync, V: Send + Sync> Send for NaiveNode<K, V> {}
-unsafe impl<K: Send + Sync, V: Send + Sync> Sync for NaiveNode<K, V> {}
-
-impl<K, V> NaiveNode<K, V> {
-    fn leaf(key: SentinelKey<K>, value: Option<V>) -> *mut NaiveNode<K, V> {
-        Box::into_raw(Box::new(NaiveNode {
-            key,
-            value,
-            is_leaf: true,
-            left: Atomic::null(),
-            right: Atomic::null(),
-        }))
-    }
-
-    fn internal(
-        key: SentinelKey<K>,
-        left: *const NaiveNode<K, V>,
-        right: *const NaiveNode<K, V>,
-    ) -> *mut NaiveNode<K, V> {
-        let n = Box::new(NaiveNode {
-            key,
-            value: None,
-            is_leaf: false,
-            left: Atomic::null(),
-            right: Atomic::null(),
-        });
-        unsafe {
-            n.left
-                .store(Shared::from_data(left as usize), Ordering::Relaxed);
-            n.right
-                .store(Shared::from_data(right as usize), Ordering::Relaxed);
-        }
-        Box::into_raw(n)
-    }
-
-    fn child<'g>(&self, go_left: bool, guard: &'g Guard) -> Shared<'g, NaiveNode<K, V>> {
-        if go_left {
-            self.left.load(ORD, guard)
-        } else {
-            self.right.load(ORD, guard)
+impl<K, V> Node<K, V> {
+    fn key(&self) -> &SentinelKey<K> {
+        match self {
+            Node::Leaf { key, .. } | Node::Internal { key, .. } => key,
         }
     }
+}
+
+fn slot_mut<K, V>(nodes: &mut [Node<K, V>], (parent, side): Slot) -> &mut Idx {
+    match &mut nodes[parent] {
+        Node::Internal { child, .. } => &mut child[side],
+        Node::Leaf { .. } => unreachable!("only internal nodes have child slots"),
+    }
+}
+
+/// The paper's sequential Search: the leaf on `key`'s path, the slot that
+/// holds it, and the slot that holds its parent (`None` for the root).
+fn search<K: Ord, V>(nodes: &[Node<K, V>], key: &K) -> (Option<Slot>, Slot, Idx) {
+    let (mut above, mut slot, mut l) = (None, None, ROOT);
+    while let Node::Internal { key: nk, child } = &nodes[l] {
+        let side = usize::from(real_vs_node(key, nk) != Ordering::Less);
+        above = slot;
+        slot = Some((l, side));
+        l = child[side];
+    }
+    (above, slot.expect("the root is internal"), l)
 }
 
 /// The Figure 3 strawman: a leaf-oriented BST whose updates are one bare
@@ -85,13 +81,10 @@ impl<K, V> NaiveNode<K, V> {
 ///
 /// Correct sequentially; **loses updates under concurrency** (by design —
 /// see the module docs).
+#[derive(Debug)]
 pub struct NaiveBst<K, V> {
-    root: Box<NaiveNode<K, V>>,
-    collector: Collector,
+    nodes: RefCell<Vec<Node<K, V>>>,
 }
-
-unsafe impl<K: Send + Sync, V: Send + Sync> Send for NaiveBst<K, V> {}
-unsafe impl<K: Send + Sync, V: Send + Sync> Sync for NaiveBst<K, V> {}
 
 impl<K, V> NaiveBst<K, V>
 where
@@ -100,161 +93,115 @@ where
 {
     /// Creates the sentinel tree of Figure 6(a).
     pub fn new() -> NaiveBst<K, V> {
-        let left = NaiveNode::leaf(SentinelKey::Inf1, None);
-        let right = NaiveNode::leaf(SentinelKey::Inf2, None);
-        let root = NaiveNode::internal(SentinelKey::Inf2, left, right);
+        let leaf = |key| Node::Leaf { key, value: None };
         NaiveBst {
-            // SAFETY: just allocated, uniquely owned.
-            root: unsafe { Box::from_raw(root) },
-            collector: Collector::new(),
+            nodes: RefCell::new(vec![
+                Node::Internal {
+                    key: SentinelKey::Inf2,
+                    child: [1, 2],
+                },
+                leaf(SentinelKey::Inf1),
+                leaf(SentinelKey::Inf2),
+            ]),
         }
     }
 
-    #[allow(clippy::type_complexity)] // (gp, gp_left, p, p_left, l) quintuple
-    fn search<'g>(
-        &self,
-        key: &K,
-        guard: &'g Guard,
-    ) -> (
-        Shared<'g, NaiveNode<K, V>>, // gp (may be null)
-        bool,                        // gp -> p went left?
-        Shared<'g, NaiveNode<K, V>>, // p
-        bool,                        // p -> l went left?
-        Shared<'g, NaiveNode<K, V>>, // l (leaf)
-    ) {
-        let mut gp: Shared<'g, NaiveNode<K, V>> = Shared::null();
-        let mut gp_left = false;
-        let mut p: Shared<'g, NaiveNode<K, V>> = Shared::null();
-        let mut p_left = false;
-        let mut l: Shared<'g, NaiveNode<K, V>> =
-            unsafe { Shared::from_data(&*self.root as *const NaiveNode<K, V> as usize) };
-        loop {
-            let l_ref = unsafe { l.deref() };
-            if l_ref.is_leaf {
-                break;
-            }
-            gp = p;
-            gp_left = p_left;
-            p = l;
-            p_left = real_vs_node(key, &l_ref.key) == CmpOrdering::Less;
-            l = l_ref.child(p_left, guard);
-        }
-        (gp, gp_left, p, p_left, l)
-    }
-
-    /// Two-phase insert: search and build the replacement subtree now,
-    /// CAS later ([`PreparedInsert::commit`]).
+    /// Two-phase insert: search now and record the leaf to replace, CAS
+    /// later ([`PreparedInsert::commit`]).
     ///
     /// Returns `None` if the key is already present.
     pub fn prepare_insert(&self, key: K, value: V) -> Option<PreparedInsert<'_, K, V>> {
-        let guard = self.collector.pin();
-        let (_, _, p, p_left, l) = self.search(&key, &guard);
-        let l_ref = unsafe { l.deref() };
-        if l_ref.key.as_key() == Some(&key) {
+        let nodes = self.nodes.borrow();
+        let (_, slot, leaf) = search(&nodes, &key);
+        let Node::Leaf {
+            key: leaf_key,
+            value: leaf_value,
+        } = &nodes[leaf]
+        else {
+            unreachable!("search ends at a leaf")
+        };
+        if leaf_key.as_key() == Some(&key) {
             return None;
         }
-        let new_leaf = NaiveNode::leaf(SentinelKey::Key(key.clone()), Some(value));
-        let sibling = NaiveNode::leaf(l_ref.key.clone(), l_ref.value.clone());
-        let new_key = SentinelKey::Key(key);
-        let (routing, left, right) = if new_key < l_ref.key {
-            (l_ref.key.clone(), new_leaf as *const _, sibling as *const _)
-        } else {
-            (new_key, sibling as *const _, new_leaf as *const _)
-        };
-        let internal = NaiveNode::internal(routing, left, right);
-        let (p_raw, l_raw) = (p.as_raw(), l.as_raw());
         Some(PreparedInsert {
-            _tree: std::marker::PhantomData,
-            guard,
-            p: p_raw,
-            p_left,
-            l: l_raw,
-            internal,
-            new_leaf,
-            sibling,
+            tree: self,
+            slot,
+            leaf,
+            key,
+            value,
+            leaf_key: leaf_key.clone(),
+            leaf_value: leaf_value.clone(),
         })
     }
 
-    /// Two-phase delete: record grandparent, parent and the sibling
-    /// subtree now, CAS later ([`PreparedDelete::commit`]).
+    /// Two-phase delete: record the grandparent's slot, the parent and the
+    /// sibling subtree now, CAS later ([`PreparedDelete::commit`]).
     ///
     /// Returns `None` if the key is absent.
     pub fn prepare_delete(&self, key: &K) -> Option<PreparedDelete<'_, K, V>> {
-        let guard = self.collector.pin();
-        let (gp, gp_left, p, p_left, l) = self.search(key, &guard);
-        let l_ref = unsafe { l.deref() };
-        if l_ref.key.as_key() != Some(key) {
+        let nodes = self.nodes.borrow();
+        let (above, (parent, side), leaf) = search(&nodes, key);
+        if nodes[leaf].key().as_key() != Some(key) {
             return None;
         }
-        assert!(!gp.is_null(), "real leaves have grandparents");
-        let p_ref = unsafe { p.deref() };
-        let sibling = p_ref.child(!p_left, &guard);
-        let (gp_raw, p_raw, sib_raw) = (gp.as_raw(), p.as_raw(), sibling.as_raw());
+        let Node::Internal { child, .. } = &nodes[parent] else {
+            unreachable!("a slot's node is internal")
+        };
         Some(PreparedDelete {
-            guard,
-            gp: gp_raw,
-            gp_left,
-            p: p_raw,
-            sibling: sib_raw,
-            _tree: std::marker::PhantomData,
+            tree: self,
+            slot: above.expect("real leaves have grandparents"),
+            parent,
+            sibling: child[1 - side],
         })
     }
 
     /// One-shot insert (prepare + commit loop); sequentially correct.
     pub fn insert(&self, key: K, value: V) -> bool {
         let mut kv = (key, value);
-        loop {
-            match self.prepare_insert(kv.0, kv.1) {
-                None => return false,
-                Some(prep) => match prep.commit() {
-                    CommitOutcome::Applied => return true,
-                    CommitOutcome::CasFailed(recovered) => match recovered {
-                        Some(pair) => kv = pair,
-                        None => unreachable!("insert commit returns the pair"),
-                    },
-                },
+        while let Some(prep) = self.prepare_insert(kv.0, kv.1) {
+            match prep.commit() {
+                CommitOutcome::Applied => return true,
+                CommitOutcome::CasFailed(pair) => {
+                    kv = pair.expect("insert commit returns the pair")
+                }
             }
         }
+        false
     }
 
     /// One-shot delete; sequentially correct.
     pub fn remove(&self, key: &K) -> bool {
-        loop {
-            match self.prepare_delete(key) {
-                None => return false,
-                Some(prep) => {
-                    if matches!(prep.commit(), CommitOutcome::Applied) {
-                        return true;
-                    }
-                }
+        while let Some(prep) = self.prepare_delete(key) {
+            if let CommitOutcome::Applied = prep.commit() {
+                return true;
             }
         }
+        false
     }
 
     /// Membership test.
     pub fn contains(&self, key: &K) -> bool {
-        let guard = self.collector.pin();
-        let (_, _, _, _, l) = self.search(key, &guard);
-        unsafe { l.deref() }.key.as_key() == Some(key)
+        let nodes = self.nodes.borrow();
+        let (_, _, leaf) = search(&nodes, key);
+        nodes[leaf].key().as_key() == Some(key)
     }
 
     /// In-order snapshot of real keys — including any *resurrected* keys a
     /// lost update left behind, which is how the Figure 3 anomalies are
     /// observed.
     pub fn keys_snapshot(&self) -> Vec<K> {
-        fn go<K: Clone, V>(n: &NaiveNode<K, V>, guard: &Guard, out: &mut Vec<K>) {
-            if n.is_leaf {
-                if let SentinelKey::Key(k) = &n.key {
-                    out.push(k.clone());
-                }
-                return;
-            }
-            go(unsafe { n.child(true, guard).deref() }, guard, out);
-            go(unsafe { n.child(false, guard).deref() }, guard, out);
-        }
-        let guard = self.collector.pin();
+        let nodes = self.nodes.borrow();
         let mut keys = Vec::new();
-        go(&self.root, &guard, &mut keys);
+        let mut stack = vec![ROOT];
+        while let Some(n) = stack.pop() {
+            match &nodes[n] {
+                Node::Internal {
+                    child: [left, right],
+                    ..
+                } => stack.extend([*right, *left]),
+                Node::Leaf { key, .. } => keys.extend(key.as_key().cloned()),
+            }
+        }
         keys
     }
 }
@@ -269,38 +216,6 @@ where
     }
 }
 
-impl<K, V> Drop for NaiveBst<K, V> {
-    fn drop(&mut self) {
-        // The naive tree never retires nodes during operation (lost
-        // updates make unlink tracking unreliable — the whole point);
-        // instead, spliced-out subtrees are still reachable only from
-        // prepared ops. We free the reachable tree here; prepared-op
-        // allocations free themselves.
-        let guard = unsafe { nbbst_reclaim::unprotected() };
-        let mut stack = vec![
-            self.root.left.load(ORD, &guard).as_raw() as *mut NaiveNode<K, V>,
-            self.root.right.load(ORD, &guard).as_raw() as *mut NaiveNode<K, V>,
-        ];
-        while let Some(n) = stack.pop() {
-            if n.is_null() {
-                continue;
-            }
-            // SAFETY: teardown; tree nodes are reachable exactly once.
-            let node = unsafe { Box::from_raw(n) };
-            if !node.is_leaf {
-                stack.push(node.left.load(ORD, &guard).as_raw() as *mut _);
-                stack.push(node.right.load(ORD, &guard).as_raw() as *mut _);
-            }
-        }
-    }
-}
-
-impl<K, V> fmt::Debug for NaiveBst<K, V> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("NaiveBst")
-    }
-}
-
 /// Outcome of committing a prepared naive operation.
 #[derive(Debug)]
 pub enum CommitOutcome<K, V> {
@@ -311,114 +226,85 @@ pub enum CommitOutcome<K, V> {
     CasFailed(Option<(K, V)>),
 }
 
-/// A naive insert that has searched and built its subtree but not yet
-/// CASed. Holding several `Prepared*` values and committing them in a
-/// chosen order is how Figure 3 schedules are replayed.
+/// A naive insert that has searched but not yet CASed. Holding several
+/// `Prepared*` values and committing them in a chosen order is how
+/// Figure 3 schedules are replayed.
+#[derive(Debug)]
 pub struct PreparedInsert<'t, K, V> {
-    _tree: std::marker::PhantomData<&'t NaiveBst<K, V>>,
-    guard: Guard,
-    p: *const NaiveNode<K, V>,
-    p_left: bool,
-    l: *const NaiveNode<K, V>,
-    /// Speculative subtree root; null once committed or reclaimed.
-    internal: *mut NaiveNode<K, V>,
-    new_leaf: *mut NaiveNode<K, V>,
-    sibling: *mut NaiveNode<K, V>,
+    tree: &'t NaiveBst<K, V>,
+    slot: Slot,
+    /// The leaf `slot` held at prepare time: the CAS's expected value.
+    leaf: Idx,
+    key: K,
+    value: V,
+    /// A copy of that leaf, which becomes the new leaf's sibling.
+    leaf_key: SentinelKey<K>,
+    leaf_value: Option<V>,
 }
 
-impl<K, V> PreparedInsert<'_, K, V>
-where
-    K: Ord + Clone,
-    V: Clone,
-{
-    /// Performs the single child CAS.
-    pub fn commit(mut self) -> CommitOutcome<K, V> {
-        let p = unsafe { &*self.p };
-        let slot = if self.p_left { &p.left } else { &p.right };
-        let old: Shared<'_, NaiveNode<K, V>> = unsafe { Shared::from_data(self.l as usize) };
-        let new: Shared<'_, NaiveNode<K, V>> = unsafe { Shared::from_data(self.internal as usize) };
-        match slot.compare_exchange(old, new, ORD, ORD, &self.guard) {
-            Ok(_) => {
-                // NOTE (deliberate bug): the replaced leaf is NOT retired
-                // and no flags were taken; concurrent updates can now lose
-                // each other's effects.
-                self.internal = std::ptr::null_mut(); // owned by the tree
-                CommitOutcome::Applied
-            }
-            Err(_) => {
-                // SAFETY: never published; reclaim the subtree and hand the
-                // key/value back for a retry.
-                let pair = unsafe {
-                    drop(Box::from_raw(self.internal));
-                    drop(Box::from_raw(self.sibling));
-                    let fresh = Box::from_raw(self.new_leaf);
-                    match (fresh.key, fresh.value) {
-                        (SentinelKey::Key(k), Some(v)) => Some((k, v)),
-                        _ => None,
-                    }
-                };
-                self.internal = std::ptr::null_mut();
-                CommitOutcome::CasFailed(pair)
-            }
+impl<K: Ord + Clone, V> PreparedInsert<'_, K, V> {
+    /// Performs the single child CAS. Only if it succeeds are the three
+    /// nodes of Figure 1 added: the new leaf, the copy of the old leaf,
+    /// and an internal node keyed by the larger key above them.
+    pub fn commit(self) -> CommitOutcome<K, V> {
+        let mut nodes = self.tree.nodes.borrow_mut();
+        if *slot_mut(&mut nodes, self.slot) != self.leaf {
+            return CommitOutcome::CasFailed(Some((self.key, self.value)));
         }
+        // NOTE (deliberate bug): no flag was taken, so a concurrent
+        // delete that captured the old leaf's parent can undo this.
+        let new_key = SentinelKey::Key(self.key);
+        let new_is_left = new_key < self.leaf_key;
+        let routing = if new_is_left {
+            self.leaf_key.clone()
+        } else {
+            new_key.clone()
+        };
+        let new_leaf = Node::Leaf {
+            key: new_key,
+            value: Some(self.value),
+        };
+        let sibling = Node::Leaf {
+            key: self.leaf_key,
+            value: self.leaf_value,
+        };
+        let first = nodes.len();
+        nodes.extend(if new_is_left {
+            [new_leaf, sibling]
+        } else {
+            [sibling, new_leaf]
+        });
+        nodes.push(Node::Internal {
+            key: routing,
+            child: [first, first + 1],
+        });
+        *slot_mut(&mut nodes, self.slot) = first + 2;
+        CommitOutcome::Applied
     }
 }
 
-impl<K, V> Drop for PreparedInsert<'_, K, V> {
-    fn drop(&mut self) {
-        if self.internal.is_null() {
-            return; // committed (tree owns it) or already reclaimed
-        }
-        // Never committed: free the speculative subtree.
-        // SAFETY: unpublished, exclusively ours.
-        unsafe {
-            drop(Box::from_raw(self.internal));
-            drop(Box::from_raw(self.sibling));
-            drop(Box::from_raw(self.new_leaf));
-        }
-    }
-}
-
-impl<K, V> fmt::Debug for PreparedInsert<'_, K, V> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("PreparedInsert")
-    }
-}
-
-/// A naive delete that has searched (capturing its stale sibling pointer)
-/// but not yet CASed.
+/// A naive delete that has searched (capturing its stale sibling) but not
+/// yet CASed.
+#[derive(Debug)]
 pub struct PreparedDelete<'t, K, V> {
-    guard: Guard,
-    gp: *const NaiveNode<K, V>,
-    gp_left: bool,
-    p: *const NaiveNode<K, V>,
-    sibling: *const NaiveNode<K, V>,
-    // Ties the lifetime to the tree without an unused-field warning.
-    _tree: std::marker::PhantomData<&'t NaiveBst<K, V>>,
+    tree: &'t NaiveBst<K, V>,
+    /// The grandparent's slot that held `parent` at prepare time.
+    slot: Slot,
+    parent: Idx,
+    sibling: Idx,
 }
 
-impl<K, V> PreparedDelete<'_, K, V>
-where
-    K: Ord + Clone,
-    V: Clone,
-{
+impl<K, V> PreparedDelete<'_, K, V> {
     /// Performs the single child CAS (splice the parent out, replacing it
     /// by the *prepared-time* sibling — the staleness that loses updates).
     pub fn commit(self) -> CommitOutcome<K, V> {
-        let gp = unsafe { &*self.gp };
-        let slot = if self.gp_left { &gp.left } else { &gp.right };
-        let old: Shared<'_, NaiveNode<K, V>> = unsafe { Shared::from_data(self.p as usize) };
-        let new: Shared<'_, NaiveNode<K, V>> = unsafe { Shared::from_data(self.sibling as usize) };
-        match slot.compare_exchange(old, new, ORD, ORD, &self.guard) {
-            Ok(_) => CommitOutcome::Applied,
-            Err(_) => CommitOutcome::CasFailed(None),
+        let mut nodes = self.tree.nodes.borrow_mut();
+        let slot = slot_mut(&mut nodes, self.slot);
+        if *slot != self.parent {
+            return CommitOutcome::CasFailed(None);
         }
-    }
-}
-
-impl<K, V> fmt::Debug for PreparedDelete<'_, K, V> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("PreparedDelete")
+        *slot = self.sibling;
+        CommitOutcome::Applied
     }
 }
 
@@ -475,9 +361,9 @@ mod tests {
 
     #[test]
     fn prepared_insert_dropped_without_commit_is_clean() {
-        let t: NaiveBst<u64, u64> = NaiveBst::new();
-        t.insert(5, 50);
-        let prep = t.prepare_insert(7, 70).unwrap();
+        let t: NaiveBst<u64, String> = NaiveBst::new();
+        t.insert(5, "five".into());
+        let prep = t.prepare_insert(7, "seven".into()).unwrap();
         drop(prep);
         assert!(!t.contains(&7));
         assert_eq!(t.keys_snapshot(), vec![5]);

@@ -1,32 +1,26 @@
-//! Sequential reference models for the `nbbst` workspace.
+//! The sequential reference model for the `nbbst` workspace.
 //!
-//! Two models with identical dictionary semantics but very different
-//! representations:
-//!
-//! * [`LeafBst`] — the paper's leaf-oriented BST (Figures 1, 2 and 6) in
-//!   plain owned-box form. The concurrent EFRB tree must be
-//!   indistinguishable from this structure under any linearization, and its
-//!   update *shapes* must match this structure's node-for-node.
-//! * [`VecModel`] — a sorted vector whose correctness is immediate; used to
-//!   cross-check `LeafBst` and as the state inside the linearizability
-//!   checker.
-//!
-//! Both implement [`nbbst_dictionary::SeqMap`].
+//! [`LeafBst`] is the paper's leaf-oriented BST (Figures 1, 2 and 6) in
+//! plain owned-box form. The concurrent EFRB tree must be
+//! indistinguishable from this structure under any linearization, and its
+//! update *shapes* must match this structure's node-for-node. It implements
+//! [`nbbst_dictionary::SeqMap`]; where only the dictionary's answers
+//! matter, tests compare against `std::collections::BTreeMap`, which
+//! implements the same trait.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod leaf_bst;
-mod vec_model;
 
-pub use leaf_bst::{Iter, LeafBst, Node};
-pub use vec_model::VecModel;
+pub use leaf_bst::LeafBst;
 
 #[cfg(test)]
 mod cross_check {
     use super::*;
     use nbbst_dictionary::{Operation, SeqMap};
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn op_strategy() -> impl Strategy<Value = Operation<u8, u8>> {
         prop_oneof![
@@ -37,17 +31,17 @@ mod cross_check {
     }
 
     proptest! {
-        /// The paper-shaped tree and the sorted vector agree on every
-        /// response and on the final key set, for arbitrary op sequences.
+        /// The paper-shaped tree and a `BTreeMap` agree on every response
+        /// and on the final key set, for arbitrary op sequences.
         #[test]
-        fn leaf_bst_equals_vec_model(ops in proptest::collection::vec(op_strategy(), 0..400)) {
+        fn leaf_bst_equals_btreemap(ops in proptest::collection::vec(op_strategy(), 0..400)) {
             let mut bst: LeafBst<u8, u8> = LeafBst::new();
-            let mut vec: VecModel<u8, u8> = VecModel::new();
+            let mut map: BTreeMap<u8, u8> = BTreeMap::new();
             for op in ops {
-                prop_assert_eq!(op.apply_seq(&mut bst), op.apply_seq(&mut vec));
+                prop_assert_eq!(op.apply_seq(&mut bst), op.apply_seq(&mut map));
             }
-            prop_assert_eq!(bst.keys().collect::<Vec<_>>(), vec.keys());
-            prop_assert_eq!(SeqMap::len(&bst), SeqMap::len(&vec));
+            prop_assert_eq!(bst.keys().collect::<Vec<_>>(), map.keys().copied().collect::<Vec<_>>());
+            prop_assert_eq!(SeqMap::len(&bst), SeqMap::len(&map));
             bst.check_invariants().unwrap();
         }
 
@@ -55,12 +49,12 @@ mod cross_check {
         #[test]
         fn values_are_stable(ops in proptest::collection::vec(op_strategy(), 0..200)) {
             let mut bst: LeafBst<u8, u8> = LeafBst::new();
-            let mut vec: VecModel<u8, u8> = VecModel::new();
+            let mut map: BTreeMap<u8, u8> = BTreeMap::new();
             for op in ops {
                 op.apply_seq(&mut bst);
-                op.apply_seq(&mut vec);
+                op.apply_seq(&mut map);
                 for k in 0..32u8 {
-                    prop_assert_eq!(SeqMap::get(&bst, &k), SeqMap::get(&vec, &k));
+                    prop_assert_eq!(SeqMap::get(&bst, &k), SeqMap::get(&map, &k));
                 }
             }
         }

@@ -11,8 +11,9 @@
 //! * [`ConcurrentMap`] / [`SeqMap`] — the dictionary abstraction
 //!   (from [`nbbst_dictionary`]).
 //! * [`reclaim`] — the epoch-based memory-reclamation substrate.
-//! * [`model`] — sequential reference models.
-//! * [`baselines`] — a coarse-lock comparator and the naive tree of Figure 3.
+//! * [`model`] — the sequential reference tree of Figures 1, 2 and 6.
+//! * [`baselines`] — a coarse-lock comparator and the naive tree of Figure 3
+//!   (a safe index arena that replays the figure's schedules on one thread).
 //! * [`harness`] — workloads, drivers with exact accounting,
 //!   linearizability checking. `perfbench` (its own workspace) measures.
 //! * [`ShardedNbBst`] / [`sharded`] — key-space partitioning across
@@ -47,7 +48,7 @@ pub use nbbst_core as core;
 /// Memory-reclamation substrate ([`nbbst_reclaim`]).
 pub use nbbst_reclaim as reclaim;
 
-/// Sequential reference models ([`nbbst_model`]).
+/// The sequential reference tree ([`nbbst_model`]).
 pub use nbbst_model as model;
 
 /// Comparator dictionaries ([`nbbst_baselines`]).

@@ -124,7 +124,6 @@ fn census(initial: &[u64], a: Op, b: Op) -> usize {
         if ops[1].reported_success() {
             applied.push(b);
         }
-        drop(ops);
         let legal = admissible(initial, &applied);
         let final_keys: BTreeSet<u64> = tree.keys_snapshot().into_iter().collect();
         if !legal.contains(&final_keys) {
@@ -196,7 +195,6 @@ fn sequential_schedules_are_always_clean() {
             if ops[1].reported_success() {
                 applied.push(b);
             }
-            drop(ops);
             let legal = admissible(&[10, 30, 50, 80], &applied);
             let final_keys: BTreeSet<u64> = tree.keys_snapshot().into_iter().collect();
             assert!(legal.contains(&final_keys), "{a:?}/{b:?} {schedule:?}");

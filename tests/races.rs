@@ -123,8 +123,10 @@ fn figure3c_schedule_rejected_by_efrb() {
     t.stats().unwrap().check_figure4().unwrap();
 }
 
+/// Four threads churn the EFRB tree; afterwards its snapshot and its
+/// membership answers agree.
 #[test]
-fn naive_racy_parallel_churn_eventually_diverges_from_truth() {
+fn efrb_snapshot_agrees_with_membership_after_parallel_churn() {
     // Not a deterministic schedule: hammer the naive tree from threads and
     // check a basic consistency property that the EFRB tree guarantees;
     // the naive tree will usually (not always, on one core) violate it.
