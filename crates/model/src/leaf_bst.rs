@@ -156,44 +156,39 @@ impl<K: Ord + Clone, V> LeafBst<K, V> {
             other => return Err(format!("root right child is {:?}", other.key())),
         }
 
-        // (2) order, via bounded recursion; also count leaves.
-        fn check<K: Ord + Clone + fmt::Debug, V>(
-            n: &Node<K, V>,
-            lo: Option<&SentinelKey<K>>,
-            hi: Option<&SentinelKey<K>>,
-            leaves: &mut usize,
-            sentinels: &mut usize,
-        ) -> Result<(), String> {
+        // (2) order, with an explicit stack (a degenerate tree is as deep
+        // as it has keys); also count leaves.
+        let mut leaves = 0;
+        let mut sentinels = 0;
+        let mut stack = vec![(&self.root, None, None)];
+        while let Some((n, lo, hi)) = stack.pop() {
             let k = n.key();
+            // Keys in a right subtree must be >= the parent key.
             if let Some(lo) = lo {
-                // keys in a right subtree must be >= parent key
                 if k < lo {
                     return Err(format!("key {k:?} below lower bound {lo:?}"));
                 }
             }
+            // Keys in a left subtree must be < the parent key.
             if let Some(hi) = hi {
-                // keys in a left subtree must be < parent key
                 if k >= hi {
                     return Err(format!("key {k:?} not below upper bound {hi:?}"));
                 }
             }
             match n {
                 Node::Leaf { key, .. } => {
-                    *leaves += 1;
+                    leaves += 1;
                     if key.is_sentinel() {
-                        *sentinels += 1;
+                        sentinels += 1;
                     }
-                    Ok(())
                 }
                 Node::Internal { key, left, right } => {
-                    check(left, lo, Some(key), leaves, sentinels)?;
-                    check(right, Some(key), hi, leaves, sentinels)
+                    // Left is popped first, as the recursive walk visited it.
+                    stack.push((&**right, Some(key), hi));
+                    stack.push((&**left, lo, Some(key)));
                 }
             }
         }
-        let mut leaves = 0;
-        let mut sentinels = 0;
-        check(&self.root, None, None, &mut leaves, &mut sentinels)?;
         if sentinels != 2 {
             return Err(format!("expected 2 sentinel leaves, found {sentinels}"));
         }
@@ -242,86 +237,88 @@ impl<K: Ord + Clone, V> LeafBst<K, V> {
         out
     }
 
-    fn insert_rec(node: &mut Node<K, V>, key: K, value: V) -> bool {
-        match node {
-            Node::Internal {
-                key: nk,
-                left,
-                right,
-            } => {
-                let child = if real_vs_node(&key, nk) == Ordering::Less {
-                    left.as_mut()
-                } else {
-                    right.as_mut()
-                };
-                Self::insert_rec(child, key, value)
-            }
-            Node::Leaf { key: lk, .. } => {
-                if *lk == SentinelKey::Key(key.clone()) {
-                    return false;
-                }
-                // Figure 1: replace the leaf by an internal node whose key
-                // is the larger of the two leaf keys; smaller key goes left.
-                let old = mem::replace(node, Node::placeholder());
-                let Node::Leaf {
-                    key: old_key,
-                    value: old_value,
-                } = old
-                else {
-                    unreachable!("matched Leaf above")
-                };
-                let new_leaf = Node::leaf(SentinelKey::Key(key), Some(value));
-                let old_leaf = Box::new(Node::Leaf {
-                    key: old_key.clone(),
-                    value: old_value,
-                });
-                let (routing, left, right) = if *new_leaf.key() < old_key {
-                    (old_key, new_leaf, old_leaf)
-                } else {
-                    (new_leaf.key().clone(), old_leaf, new_leaf)
-                };
-                *node = Node::Internal {
-                    key: routing,
-                    left,
-                    right,
-                };
-                true
-            }
-        }
-    }
-
-    fn remove_rec(node: &mut Node<K, V>, key: &K) -> bool {
-        // Invariant: `node` is internal (callers never recurse into leaves).
-        let Node::Internal {
+    /// Figure 1, iteratively: walks to the leaf on `key`'s search path
+    /// and replaces it by an internal node over the old and the new leaf.
+    fn insert_at(mut node: &mut Node<K, V>, key: K, value: V) -> bool {
+        while let Node::Internal {
             key: nk,
             left,
             right,
         } = node
+        {
+            node = if real_vs_node(&key, nk) == Ordering::Less {
+                left
+            } else {
+                right
+            };
+        }
+        if *node.key() == SentinelKey::Key(key.clone()) {
+            return false;
+        }
+        // Replace the leaf by an internal node whose key is the larger of
+        // the two leaf keys; the smaller key goes left.
+        let Node::Leaf {
+            key: old_key,
+            value: old_value,
+        } = mem::replace(node, Node::placeholder())
         else {
-            unreachable!("remove_rec called on a leaf")
+            unreachable!("the walk stops at a leaf")
         };
-        let go_left = real_vs_node(key, nk) == Ordering::Less;
-        let child = if go_left { left } else { right };
-        match child.as_ref() {
-            Node::Internal { .. } => Self::remove_rec(child, key),
-            Node::Leaf { key: lk, .. } if lk.as_key() == Some(key) => {
-                // Figure 2: remove the leaf and its parent; the sibling
-                // takes the parent's place.
-                let Node::Internal { left, right, .. } = mem::replace(node, Node::placeholder())
-                else {
-                    unreachable!("node is internal")
-                };
-                *node = if go_left { *right } else { *left };
-                true
+        let new_leaf = Node::leaf(SentinelKey::Key(key), Some(value));
+        let old_leaf = Node::leaf(old_key.clone(), old_value);
+        let (routing, left, right) = if *new_leaf.key() < old_key {
+            (old_key, new_leaf, old_leaf)
+        } else {
+            (new_leaf.key().clone(), old_leaf, new_leaf)
+        };
+        *node = Node::Internal {
+            key: routing,
+            left,
+            right,
+        };
+        true
+    }
+
+    /// Figure 2, iteratively: walks to the parent of the leaf on `key`'s
+    /// search path and, if that leaf holds `key`, puts its sibling in the
+    /// parent's place. `node` is internal (the root always is).
+    fn remove_at(mut node: &mut Node<K, V>, key: &K) -> bool {
+        loop {
+            let Node::Internal {
+                key: nk,
+                left,
+                right,
+            } = &*node
+            else {
+                unreachable!("the walk stays on internal nodes")
+            };
+            let go_left = real_vs_node(key, nk) == Ordering::Less;
+            let child = if go_left { left } else { right };
+            match child.as_ref() {
+                Node::Internal { .. } => {
+                    let Node::Internal { left, right, .. } = node else {
+                        unreachable!("node is internal")
+                    };
+                    node = if go_left { left } else { right };
+                }
+                Node::Leaf { key: lk, .. } if lk.as_key() == Some(key) => {
+                    let Node::Internal { left, right, .. } =
+                        mem::replace(node, Node::placeholder())
+                    else {
+                        unreachable!("node is internal")
+                    };
+                    *node = if go_left { *right } else { *left };
+                    return true;
+                }
+                Node::Leaf { .. } => return false,
             }
-            Node::Leaf { .. } => false,
         }
     }
 }
 
 impl<K: Ord + Clone, V> SeqMap<K, V> for LeafBst<K, V> {
     fn insert(&mut self, key: K, value: V) -> bool {
-        let inserted = Self::insert_rec(&mut self.root, key, value);
+        let inserted = Self::insert_at(&mut self.root, key, value);
         if inserted {
             self.len += 1;
         }
@@ -329,7 +326,7 @@ impl<K: Ord + Clone, V> SeqMap<K, V> for LeafBst<K, V> {
     }
 
     fn remove(&mut self, key: &K) -> bool {
-        let removed = Self::remove_rec(&mut self.root, key);
+        let removed = Self::remove_at(&mut self.root, key);
         if removed {
             self.len -= 1;
         }
@@ -355,6 +352,21 @@ impl<K: Ord + Clone, V> SeqMap<K, V> for LeafBst<K, V> {
 
     fn len(&self) -> usize {
         self.len
+    }
+}
+
+/// Boxed nodes would drop recursively, one stack frame per level; a
+/// degenerate tree (ascending keys) is as deep as it has keys. Nodes are
+/// unlinked onto a heap stack and dropped one at a time instead.
+impl<K, V> Drop for LeafBst<K, V> {
+    fn drop(&mut self) {
+        let mut stack = vec![mem::replace(&mut self.root, Node::placeholder())];
+        while let Some(node) = stack.pop() {
+            if let Node::Internal { left, right, .. } = node {
+                stack.push(*left);
+                stack.push(*right);
+            }
+        }
     }
 }
 
@@ -461,6 +473,68 @@ mod tests {
             }
             t.check_invariants().unwrap();
         }
+    }
+
+    /// The tree that inserting `0..n` in ascending order makes (a right
+    /// spine `n` levels deep), built in O(n): through `insert` the build
+    /// is quadratic in `n`.
+    fn ascending(n: u64) -> LeafBst<u64, u64> {
+        let mut spine = Node::leaf(SentinelKey::Key(n - 1), Some(n - 1));
+        for k in (1..n).rev() {
+            spine = Box::new(Node::Internal {
+                key: SentinelKey::Key(k),
+                left: Node::leaf(SentinelKey::Key(k - 1), Some(k - 1)),
+                right: spine,
+            });
+        }
+        let mut t = LeafBst::new();
+        let Node::Internal { left, .. } = &mut t.root else {
+            unreachable!("the root is internal")
+        };
+        **left = Node::Internal {
+            key: SentinelKey::Inf1,
+            left: spine,
+            right: Node::leaf(SentinelKey::Inf1, None),
+        };
+        t.len = n as usize;
+        t
+    }
+
+    #[test]
+    fn ascending_builds_what_ascending_inserts_make() {
+        let mut t: LeafBst<u64, u64> = LeafBst::new();
+        for k in 0..50 {
+            assert!(SeqMap::insert(&mut t, k, k));
+        }
+        let built = ascending(50);
+        built.check_invariants().unwrap();
+        assert_eq!(built.render(), t.render());
+        assert_eq!(built.len(), t.len());
+        assert!((0..50).all(|k| SeqMap::get(&built, &k) == Some(k)));
+    }
+
+    /// Insert, remove, the invariant check and drop on a 100k-deep tree
+    /// must not use a stack frame per level.
+    #[test]
+    fn degenerate_100k_tree_fits_a_2_mib_stack() {
+        const N: u64 = 100_000;
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let mut t = ascending(N);
+                // Each of these walks the whole spine.
+                assert!(SeqMap::insert(&mut t, N, N));
+                assert!(!SeqMap::insert(&mut t, N - 1, 0));
+                assert!(SeqMap::remove(&mut t, &(N - 1)));
+                assert!(!SeqMap::remove(&mut t, &(N + 1)));
+                assert_eq!(SeqMap::get(&t, &N), Some(N));
+                assert_eq!(t.len(), N as usize);
+                t.check_invariants().unwrap();
+                drop(t);
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

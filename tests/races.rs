@@ -127,10 +127,10 @@ fn figure3c_schedule_rejected_by_efrb() {
 /// membership answers agree.
 #[test]
 fn efrb_snapshot_agrees_with_membership_after_parallel_churn() {
-    // Not a deterministic schedule: hammer the naive tree from threads and
-    // check a basic consistency property that the EFRB tree guarantees;
-    // the naive tree will usually (not always, on one core) violate it.
-    // We only assert that the EFRB run below stays consistent.
+    // Not a deterministic schedule: four threads insert and remove random
+    // keys of 0..16 at once, then the quiescent tree must satisfy its
+    // invariants, and its snapshot must list exactly the keys `contains_key`
+    // reports present.
     let efrb: NbBst<u64, u64> = NbBst::new();
     std::thread::scope(|s| {
         for t in 0..4u64 {
