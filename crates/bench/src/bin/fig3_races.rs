@@ -9,7 +9,7 @@
 //! operations to fail/retry, and no update is lost.
 
 use nbbst_baselines::naive::{CommitOutcome, NaiveBst};
-use nbbst_core::raw::{MarkOutcome, RawDelete, RawInsert};
+use nbbst_core::raw::Stepper;
 use nbbst_core::NbBst;
 
 // Figure 3 letters as keys: A=10, C=30, E=50, F=60, H=80.
@@ -61,12 +61,12 @@ fn efrb_fig3b() {
     }
     // Both deletes search against the same initial tree, then Delete(E)
     // runs all its CAS steps first — the schedule of Figure 3(b).
-    let mut del_c = RawDelete::new(&t, C);
-    let mut del_e = RawDelete::new(&t, E);
+    let mut del_c = Stepper::delete(&t, C);
+    let mut del_e = Stepper::delete(&t, E);
     assert!(del_c.search().is_ready());
     assert!(del_e.search().is_ready());
     assert!(del_e.flag());
-    assert_eq!(del_e.mark(), MarkOutcome::Marked);
+    assert!(del_e.mark());
     del_e.execute_child();
     del_e.unflag();
 
@@ -80,18 +80,14 @@ fn efrb_fig3b() {
             assert!(del_c.search().is_ready());
             continue;
         }
-        match del_c.mark() {
-            MarkOutcome::Marked => {
-                del_c.execute_child();
-                del_c.unflag();
-                break;
-            }
-            MarkOutcome::Failed => {
-                stale_rejections += 1;
-                assert!(del_c.backtrack());
-                assert!(del_c.search().is_ready());
-            }
+        if del_c.mark() {
+            del_c.execute_child();
+            del_c.unflag();
+            break;
         }
+        stale_rejections += 1;
+        assert!(del_c.backtrack());
+        assert!(del_c.search().is_ready());
     }
     println!(
         "Delete(C)'s stale attempt was rejected {stale_rejections} time(s) before a fresh retry succeeded"
@@ -119,11 +115,11 @@ fn efrb_fig3c() {
     // then Insert(F) runs to completion on E's parent — exactly the
     // Figure 5 "doomed delete" configuration, which is what prevents the
     // Figure 3(c) lost insert.
-    let mut del_e = RawDelete::new(&t, E);
+    let mut del_e = Stepper::delete(&t, E);
     assert!(del_e.search().is_ready());
     assert!(del_e.flag());
 
-    let mut ins_f = RawInsert::new(&t, F, F);
+    let mut ins_f = Stepper::insert(&t, F, F);
     assert!(
         ins_f.search().is_ready(),
         "F's parent is not the flagged node here"
@@ -136,12 +132,12 @@ fn efrb_fig3c() {
     // The delete's mark CAS must fail — its pupdate snapshot is stale —
     // and the backtrack CAS removes its flag; the retried delete succeeds
     // without touching F.
-    assert_eq!(del_e.mark(), MarkOutcome::Failed);
+    assert!(!del_e.mark());
     println!("Delete(E)'s mark CAS failed (pupdate stale) -> backtrack CAS");
     assert!(del_e.backtrack());
     assert!(del_e.search().is_ready());
     assert!(del_e.flag());
-    assert_eq!(del_e.mark(), MarkOutcome::Marked);
+    assert!(del_e.mark());
     del_e.execute_child();
     del_e.unflag();
 

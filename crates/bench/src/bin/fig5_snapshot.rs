@@ -11,7 +11,7 @@
 //! succeed", the delete is "doomed to fail" (its mark CAS fails and it
 //! backtracks).
 
-use nbbst_core::raw::{MarkOutcome, RawDelete, RawInsert};
+use nbbst_core::raw::Stepper;
 use nbbst_core::{NbBst, State};
 
 fn main() {
@@ -29,12 +29,12 @@ fn main() {
     println!("initial tree (leaves A=10, C=30, E=50):\n{}", t.render());
 
     // Delete(E=50) performs its dflag CAS and pauses.
-    let mut del = RawDelete::new(&t, 50);
+    let mut del = Stepper::delete(&t, 50);
     assert!(del.search().is_ready());
     assert!(del.flag());
 
     // Insert(F=60) performs its iflag CAS and pauses.
-    let mut ins = RawInsert::new(&t, 60, 60);
+    let mut ins = Stepper::insert(&t, 60, 60);
     assert!(ins.search().is_ready());
     assert!(ins.flag());
 
@@ -59,7 +59,7 @@ fn main() {
     // Paper: "The Delete operation is doomed to fail: ... the mark CAS
     // will fail ... the DFlag ... will eventually be removed by a
     // backtrack CAS, and the Delete will try deleting key C again."
-    assert_eq!(del.mark(), MarkOutcome::Failed);
+    assert!(!del.mark());
     assert!(del.backtrack());
     println!("Delete(E)'s mark CAS failed and its flag was backtracked, as the caption predicts.");
 
@@ -68,7 +68,7 @@ fn main() {
     // Instead," the retry deletes E cleanly and F survives:
     assert!(del.search().is_ready());
     assert!(del.flag());
-    assert_eq!(del.mark(), MarkOutcome::Marked);
+    assert!(del.mark());
     del.execute_child();
     del.unflag();
     println!("retried Delete(E) succeeded.\nfinal tree:\n{}", t.render());

@@ -38,10 +38,11 @@
 //!   (also via [`nbbst_dictionary::ConcurrentMap`]).
 //! * [`NbBst::with_stats`] + [`StatsSnapshot`] — per-CAS-type counters
 //!   reproducing the paper's Figure 4 state machine.
-//! * [`raw`] — stepped, one-CAS-at-a-time operation drivers for
-//!   deterministic schedules (crash injection, the paper's Figure 5
-//!   snapshot, the Section 6 starvation schedule). They step the same
-//!   machine the public operations run.
+//! * [`raw`] — stepped operations for deterministic schedules (crash
+//!   injection, the paper's Figure 5 snapshot, the Section 6 starvation
+//!   schedule): [`raw::Stepper`] takes one Search, CAS or help pass of
+//!   the machine the public updates run per call, and [`raw::RawFind`]
+//!   descends one edge per call by the routing step `Search` uses.
 //!
 //! ## Memory management
 //!
@@ -192,7 +193,7 @@ mod tests {
         // whose update crosses it MUST help (deterministic helping).
         let t: NbBst<u64, u64> = NbBst::with_stats();
         {
-            let mut corpse = crate::raw::RawInsert::new(&t, 2, 2);
+            let mut corpse = crate::raw::Stepper::insert(&t, 2, 2);
             assert!(corpse.search().is_ready());
             assert!(corpse.flag());
             corpse.abandon();

@@ -118,7 +118,8 @@ pub(crate) trait NodePtrExt<'g, K, V> {
     /// As [`Guard::defer_destroy`]: the node is unlinked and retired once.
     unsafe fn retire(self, guard: &Guard);
     /// Frees the node the word names and, for an internal node, the whole
-    /// subtree under it.
+    /// subtree under it with everything its nodes own (see
+    /// [`Internal::free_below`]).
     ///
     /// # Safety
     ///
@@ -159,24 +160,29 @@ impl<'g, K, V> NodePtrExt<'g, K, V> for NodePtr<'g, K, V> {
     }
 
     unsafe fn free_subtree(self) {
-        // Explicit stack: a never-rebalanced subtree can be O(n) deep.
-        // SAFETY: teardown-only guard; exclusive ownership per the contract.
-        let guard = unsafe { nbbst_reclaim::unprotected() };
-        let mut stack = vec![self.into_data()];
-        while let Some(word) = stack.pop() {
-            // SAFETY: every word on the stack is an owned, not-yet-freed
-            // node of the subtree.
-            let ptr: NodePtr<'_, K, V> = unsafe { Shared::from_data(word) };
+        // SAFETY: per the contract.
+        unsafe { free_all::<K, V>(vec![self.into_data()]) };
+    }
+}
+
+/// Frees every node under the child words on `stack`, with what the
+/// internal ones own ([`Internal::release`]), once each.
+///
+/// # Safety
+///
+/// As [`NodePtrExt::free_subtree`], for every word on `stack`.
+unsafe fn free_all<K, V>(mut stack: Vec<usize>) {
+    // Explicit stack: a never-rebalanced subtree can be O(n) deep.
+    while let Some(word) = stack.pop() {
+        // SAFETY: every word on the stack is an owned, not-yet-freed node.
+        let ptr: NodePtr<'_, K, V> = unsafe { Shared::from_data(word) };
+        // SAFETY: a `Box` allocation (`alloc_box` in `Leaf::into_ptr` or
+        // `Internal::into_ptr`) that nothing else frees.
+        unsafe {
             if ptr.is_leaf() {
-                // SAFETY: a `Box` allocation (`alloc_box` in
-                // `Leaf::into_ptr`).
-                unsafe { drop(Box::from_raw(ptr.as_raw() as *mut Leaf<K, V>)) };
+                drop(Box::from_raw(ptr.as_raw() as *mut Leaf<K, V>));
             } else {
-                // SAFETY: as above, for `internal_ptr`.
-                let node = unsafe { Box::from_raw(ptr.as_raw() as *mut Internal<K, V>) };
-                // Relaxed: exclusive access.
-                stack.push(node.left.load(Ordering::Relaxed, &guard).into_data());
-                stack.push(node.right.load(Ordering::Relaxed, &guard).into_data());
+                Box::from_raw(ptr.as_raw() as *mut Internal<K, V>).release(&mut stack);
             }
         }
     }
@@ -228,6 +234,57 @@ impl<K, V> Internal<K, V> {
         internal_ptr(nbbst_reclaim::alloc_box(self))
     }
 
+    /// Teardown: frees everything below this node, the node itself
+    /// excepted, and everything the freed nodes own, in one pass that
+    /// visits each node once.
+    ///
+    /// # Safety
+    ///
+    /// The caller owns the tree under this node exclusively (`&mut` to
+    /// the tree, or never published) and frees none of it again.
+    pub(crate) unsafe fn free_below(&self) {
+        let mut stack = Vec::new();
+        // SAFETY: per the contract.
+        unsafe {
+            self.release(&mut stack);
+            free_all::<K, V>(stack);
+        }
+    }
+
+    /// Frees what this node owns besides its children, and pushes the
+    /// child words it owns onto `stack`.
+    ///
+    /// The node owns the Info record in its update word, which was never
+    /// retired (a record is retired only when a later flag or mark
+    /// displaces it) — unless the word is a Mark: then the grandparent's
+    /// DFlag word holds the same DInfo for as long as this node is
+    /// reachable, since the dchild that unlinks it precedes the dunflag.
+    /// A flagged IInfo also owns its replacement while the ichild has not
+    /// spliced it in, that is while neither child word names it.
+    ///
+    /// # Safety
+    ///
+    /// As [`Internal::free_below`].
+    unsafe fn release(&self, stack: &mut Vec<usize>) {
+        // SAFETY: teardown-only guard; exclusive access per the contract.
+        let guard = unsafe { nbbst_reclaim::unprotected() };
+        // Relaxed: exclusive access.
+        let children = [&self.left, &self.right].map(|c| c.load(Ordering::Relaxed, &guard));
+        let u = self.update.load(Ordering::Relaxed, &guard);
+        if !u.is_null() && u.state() != State::Mark {
+            // SAFETY: an owned, never-retired record (see above), a `Box`
+            // allocation (`Owned::new`).
+            let info = unsafe { Box::from_raw(u.with_tag(0).as_raw() as *mut Info<K, V>) };
+            if let (State::IFlag, Info::Insert(i)) = (u.state(), &*info) {
+                let new = i.new_word();
+                if !children.contains(&new) {
+                    stack.push(new.into_data());
+                }
+            }
+        }
+        stack.extend(children.map(|c| c.into_data()));
+    }
+
     /// Loads this node's update word.
     ///
     /// `Acquire`: a non-Clean word's Info record is dereferenced by helpers,
@@ -248,6 +305,17 @@ impl<K, V> Internal<K, V> {
         } else {
             self.right.load(Ordering::Acquire, guard)
         }
+    }
+}
+
+impl<K: Ord, V> Internal<K, V> {
+    /// The routing step (Figure 8 line 32): loads the child word on
+    /// `key`'s side of this node, left iff `key` sorts below the routing
+    /// key. `Search`, the stepped `Find` and `state_of_internal` all
+    /// descend through it.
+    #[inline]
+    pub(crate) fn child_toward<'g>(&self, key: &K, guard: &'g Guard) -> NodePtr<'g, K, V> {
+        self.load_child(real_vs_node(key, &self.key) == CmpOrdering::Less, guard)
     }
 }
 

@@ -1,10 +1,10 @@
-//! Stepped operation drivers: run `Insert`/`Delete`/`Find` **one step at
-//! a time**, under test control.
+//! Stepped operations: run `Insert`/`Delete`/`Find` **one step at a
+//! time**, under test control.
 //!
 //! The paper's proof reasons about interleavings of individual CAS steps
 //! (`iflag`, `ichild`, `iunflag`, `dflag`, `mark`, `dchild`, `dunflag`,
-//! `backtrack`). These drivers expose exactly those steps so tests and
-//! experiment binaries can construct the paper's scenarios
+//! `backtrack`). [`Stepper`] and [`RawFind`] expose exactly those steps so
+//! tests and experiment binaries can construct the paper's scenarios
 //! deterministically:
 //!
 //! * **Figure 3** — the races that single-CAS updates would suffer, and the
@@ -16,36 +16,38 @@
 //! * **Section 6's adversarial schedule (T7)** — a `Find` forever chased
 //!   down a growing-and-shrinking path.
 //!
-//! The update drivers own no protocol code. [`Stepper`], [`RawInsert`] and
-//! [`RawDelete`] hold one instance of the step machine behind
-//! `NbBst::insert_entry` and `NbBst::remove_key`, and each call takes one
-//! of its steps: a Search, one CAS, or one help pass over the word that
-//! blocked the last flag, mark or Search. So every stepped schedule runs
-//! the shipped CAS code, orderings, helping and Figure-4 counters.
-//! [`RawInsert`] and [`RawDelete`] name the step the caller expects and
-//! panic if the machine would take another.
+//! [`Stepper`] owns no protocol code. It holds one instance of the step
+//! machine behind `NbBst::insert_entry` and `NbBst::remove_key`, and each
+//! call takes one of its steps: a Search, one CAS, or one help pass over
+//! the word that blocked the last flag, mark or Search. So every stepped
+//! schedule runs the shipped CAS code, orderings, helping and Figure-4
+//! counters. [`Stepper::step`] takes whichever step the machine takes
+//! next; the named steps ([`Stepper::search`], [`Stepper::flag`],
+//! [`Stepper::mark`], ...) panic if the machine would take another.
+//! [`RawFind`] descends by the routing step `Search` itself uses.
 //!
 //! The paper's scenarios need the paper's tree (one key per leaf; see
 //! `NbBst::one_key_leaves`). On a tree with multi-entry leaves a Delete
 //! whose leaf keeps other entries replaces the leaf through the insertion
-//! circuit, and [`RawDelete`] steps that circuit instead (its `mark` step
-//! is then empty).
+//! circuit, and the [`Stepper`] steps that circuit instead (its `mark`
+//! step is then empty).
 //!
-//! Each driver holds its own epoch [`Guard`] for its whole lifetime, so
-//! every pointer it caches stays valid however long the test pauses it —
-//! this mimics a stalled thread, which in EBR likewise blocks reclamation.
+//! Each stepped operation holds its own epoch [`Guard`] for its whole
+//! lifetime, so every pointer it caches stays valid however long the test
+//! pauses it — this mimics a stalled thread, which in EBR likewise blocks
+//! reclamation.
 //!
 //! # Examples
 //!
 //! Crash a flagged insert and let a helper finish it:
 //!
 //! ```
-//! use nbbst_core::{raw::RawInsert, NbBst};
+//! use nbbst_core::{raw::Stepper, NbBst};
 //!
 //! let tree: NbBst<u64, u64> = NbBst::new();
 //! tree.insert_entry(10, 0).unwrap();
 //!
-//! let mut ins = RawInsert::new(&tree, 20, 0);
+//! let mut ins = Stepper::insert(&tree, 20, 0);
 //! assert!(ins.search().is_ready());
 //! assert!(ins.flag());      // iflag done ...
 //! ins.abandon();            // ... and the "thread" crashes here.
@@ -62,83 +64,67 @@ use crate::tree::{NbBst, Step, Update};
 use nbbst_reclaim::Guard;
 use std::fmt;
 
-/// Result of a stepped insert's `Search` phase.
+/// What [`Stepper::search`] found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InsertSearch {
-    /// The key is already present; the insert would return `false`.
-    Duplicate,
-    /// The parent's update word is not `Clean`; a real insert would help
-    /// (the blocking state is given) and retry.
-    Busy(State),
-    /// Ready to attempt the iflag CAS.
+pub enum SearchOutcome {
+    /// Ready to attempt the flag CAS ([`Stepper::flag`]).
     Ready,
+    /// The node to flag is not Clean (its state is given): the parent for
+    /// a leaf replacement (line 51), the grandparent or the parent for a
+    /// deletion (lines 77–78). [`Stepper::help_blocker`] helps it, then
+    /// the operation searches again.
+    Busy(State),
+    /// The operation is done and returns `false`: an Insert found its key
+    /// present (line 50), a Delete found it absent (line 76).
+    Done,
 }
 
-impl InsertSearch {
-    /// `true` for [`InsertSearch::Ready`].
+impl SearchOutcome {
+    /// `true` for [`SearchOutcome::Ready`].
     pub fn is_ready(&self) -> bool {
-        matches!(self, InsertSearch::Ready)
+        matches!(self, SearchOutcome::Ready)
     }
 }
 
-/// Result of a stepped delete's `Search` phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeleteSearch {
-    /// The key is not present; the delete would return `false`.
-    NotFound,
-    /// Grandparent or parent busy (the blocking state is given).
-    Busy(State),
-    /// Ready to attempt the flag CAS.
-    Ready,
-}
-
-impl DeleteSearch {
-    /// `true` for [`DeleteSearch::Ready`].
-    pub fn is_ready(&self) -> bool {
-        matches!(self, DeleteSearch::Ready)
-    }
-}
-
-/// Result of a stepped delete's mark CAS.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MarkOutcome {
-    /// The mark CAS succeeded (or a helper of this same operation already
-    /// marked the parent, or the delete replaces its leaf and has no mark
-    /// step): the deletion can no longer fail.
-    Marked,
-    /// The mark CAS failed; the next steps help the blocker and backtrack
-    /// (see [`RawDelete::backtrack`]).
-    Failed,
-}
-
-/// What a [`Stepper`] did on its most recent step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepOutcome {
-    /// The operation took one step and has more to do.
-    Running,
-    /// The operation completed with this boolean result.
-    Finished(bool),
-}
-
-/// A stepped `Insert` or `Delete` following the shipped control flow:
-/// each [`Stepper::step`] takes one step of the same machine
-/// `NbBst::insert_entry` and `NbBst::remove_key` run (a `Search`, one CAS,
-/// or one help pass), including the help steps after failed flags and
-/// marks and the retries after backtracks. This is the building block for
-/// schedule enumeration and fuzzing: interleave several `Stepper`s by
-/// calling [`Stepper::step`] in any order.
+/// A stepped `Insert` (Figure 8) or `Delete` (Figure 9) following the
+/// shipped control flow, one step at a time.
+///
+/// [`Stepper::step`] takes whichever step the machine that
+/// `NbBst::insert_entry` and `NbBst::remove_key` run takes next (a
+/// `Search`, one CAS, or one help pass), including the help steps after
+/// failed flags and marks and the retries after backtracks. Interleaving
+/// several `Stepper`s by calling `step` in any order is the building block
+/// for schedule enumeration and fuzzing.
+///
+/// The named steps build a given schedule instead; each panics if the
+/// machine would take another step:
+///
+/// * Insert: [`search`](Stepper::search) → [`flag`](Stepper::flag) →
+///   [`execute_child`](Stepper::execute_child) →
+///   [`unflag`](Stepper::unflag);
+/// * Delete: [`search`](Stepper::search) → [`flag`](Stepper::flag) →
+///   [`mark`](Stepper::mark) → [`execute_child`](Stepper::execute_child) →
+///   [`unflag`](Stepper::unflag), with [`backtrack`](Stepper::backtrack)
+///   after a failed mark;
+/// * after a `Busy` search, [`help_blocker`](Stepper::help_blocker);
+///   after a flag, [`complete`](Stepper::complete) takes the rest;
+///   [`abandon`](Stepper::abandon) anywhere simulates a crash.
+///
+/// When a Delete finds its key in a leaf that keeps other entries, the
+/// attempt replaces that leaf instead: `flag` is an iflag, `mark` takes no
+/// step, and `execute_child`/`unflag` are the ichild and iunflag CASes.
 ///
 /// # Examples
 ///
 /// ```
-/// use nbbst_core::raw::{Stepper, StepOutcome};
+/// use nbbst_core::raw::Stepper;
 /// use nbbst_core::NbBst;
 ///
 /// let tree: NbBst<u64, u64> = NbBst::new();
 /// let mut a = Stepper::insert(&tree, 1, 10);
 /// let mut b = Stepper::insert(&tree, 2, 20);
 /// // Round-robin the two inserts one CAS step at a time.
-/// while !(a.is_finished() && b.is_finished()) {
+/// while a.result().is_none() || b.result().is_none() {
 ///     a.step();
 ///     b.step();
 /// }
@@ -180,12 +166,7 @@ where
         }
     }
 
-    /// Whether the operation has completed.
-    pub fn is_finished(&self) -> bool {
-        self.result().is_some()
-    }
-
-    /// The boolean result, once finished.
+    /// The operation's result, once it has finished.
     pub fn result(&self) -> Option<bool> {
         match self.op.next() {
             Step::Done(r) => Some(r),
@@ -194,14 +175,11 @@ where
     }
 
     /// Takes exactly one step of the operation (a `Search`, one CAS, or
-    /// one helping pass), following the paper's control flow. No-op once
-    /// finished.
-    pub fn step(&mut self) -> StepOutcome {
+    /// one helping pass), following the paper's control flow; returns the
+    /// result once the operation has finished. No-op once finished.
+    pub fn step(&mut self) -> Option<bool> {
         self.advance();
-        match self.result() {
-            Some(r) => StepOutcome::Finished(r),
-            None => StepOutcome::Running,
-        }
+        self.result()
     }
 
     /// Takes one step; returns whether its CAS succeeded.
@@ -210,7 +188,7 @@ where
             Some(value) => Edit::Insert(&self.key, value),
             None => Edit::Remove(&self.key),
         };
-        // SAFETY: the driver's one guard was pinned before its first
+        // SAFETY: the stepper's one guard was pinned before its first
         // step, so before every attempt's Search.
         unsafe { self.op.step(self.tree, edit, &self.guard) }
     }
@@ -222,9 +200,16 @@ where
         self.advance()
     }
 
-    /// Runs a Search, after the help step a failed flag or a busy Search
-    /// left pending; returns the step that follows it.
-    fn search(&mut self) -> Step {
+    /// Runs the `Search` (lines 49–51, 75–78): locates the leaf and
+    /// records its parent, grandparent and their update words. After a
+    /// failed [`Stepper::flag`] or a `Busy` search, first takes the pending
+    /// step that helps the blocker, as `Insert` and `Delete` do.
+    ///
+    /// # Panics
+    ///
+    /// Panics after a successful [`Stepper::flag`] that no backtrack has
+    /// undone.
+    pub fn search(&mut self) -> SearchOutcome {
         if self.op.next() == Step::Help && !self.op.is_flagged() {
             self.advance();
         }
@@ -232,18 +217,99 @@ where
             Step::Search,
             "search() starts a new attempt: not after a successful flag()",
         );
-        self.op.next()
+        match self.op.next() {
+            Step::Done(_) => SearchOutcome::Done,
+            // SAFETY: as in `advance`.
+            Step::Help => SearchOutcome::Busy(unsafe { self.op.blocker(&self.guard) }.state()),
+            _ => SearchOutcome::Ready,
+        }
     }
 
-    /// The state of the word a busy Search found.
-    fn blocker_state(&self) -> State {
-        // SAFETY: as in `advance`.
-        unsafe { self.op.blocker(&self.guard) }.state()
+    /// Helps the operation blocking the node to flag (lines 51, 77–78);
+    /// the next step is a new `Search`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`Stepper::search`] returned [`SearchOutcome::Busy`].
+    pub fn help_blocker(&mut self) {
+        self.take(Step::Help, "help_blocker() requires a Busy search()");
     }
 
-    /// Steps a flagged operation until it is done (`true`) or has
-    /// backtracked to a new Search (`false`).
-    fn complete(&mut self) -> bool {
+    /// Attempts the flag CAS: the **iflag** (line 56) of a leaf
+    /// replacement, or the **dflag** (line 81) of a deletion. A flagged
+    /// leaf replacement is guaranteed to complete (possibly via helpers).
+    ///
+    /// On failure, re-run [`Stepper::search`], which first helps the
+    /// operation that holds the flag.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`Stepper::search`] returned [`SearchOutcome::Ready`].
+    pub fn flag(&mut self) -> bool {
+        self.take(Step::Flag, "flag() requires search()")
+    }
+
+    /// Attempts the **mark** CAS (line 91); on success the deletion can no
+    /// longer fail. A leaf replacement has no mark step and returns `true`
+    /// without one.
+    ///
+    /// After a failure, [`Stepper::backtrack`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`Stepper::flag`] succeeded.
+    pub fn mark(&mut self) -> bool {
+        if !self.op.splices() && self.op.next() == Step::Child {
+            return true;
+        }
+        self.take(Step::Mark, "mark() requires flag()")
+    }
+
+    /// Attempts the child CAS: **ichild** (line 66) or **dchild** (line
+    /// 105). Returns whether *this* call performed it (a helper may have
+    /// beaten us; the operation still completes either way).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`Stepper::flag`] succeeded and, for a deletion,
+    /// [`Stepper::mark`] too.
+    pub fn execute_child(&mut self) -> bool {
+        self.take(Step::Child, "execute_child() requires flag() and mark()")
+    }
+
+    /// Attempts the unflag CAS: **iunflag** (line 67) or **dunflag** (line
+    /// 106). Returns whether this call performed it.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`Stepper::execute_child`] ran.
+    pub fn unflag(&mut self) -> bool {
+        self.take(Step::Unflag, "unflag() requires execute_child()")
+    }
+
+    /// After a failed mark, helps the operation that blocked it (line 97),
+    /// then attempts the **backtrack** CAS (line 98). Returns whether this
+    /// call performed the backtrack.
+    ///
+    /// The next step is a new `Search`: re-run [`Stepper::search`] to
+    /// retry, as `Delete` does.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`Stepper::mark`] failed.
+    pub fn backtrack(&mut self) -> bool {
+        self.take(Step::Help, "backtrack() requires a failed mark()");
+        self.take(Step::Backtrack, "backtrack() requires a failed mark()")
+    }
+
+    /// Takes the remaining steps of a flagged operation; returns whether
+    /// it completed (`false` means a deletion backtracked and must be
+    /// retried from [`Stepper::search`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`Stepper::flag`] succeeded.
+    pub fn complete(&mut self) -> bool {
         assert!(
             self.op.is_flagged(),
             "complete() requires a successful flag()"
@@ -257,6 +323,11 @@ where
             }
         }
     }
+
+    /// Simulates a crash: stop taking steps forever. If the operation was
+    /// already flagged, the published Info record lets any other thread
+    /// finish it, or teardown reclaim it.
+    pub fn abandon(self) {}
 }
 
 impl<K: fmt::Debug, V> fmt::Debug for Stepper<'_, K, V> {
@@ -269,243 +340,9 @@ impl<K: fmt::Debug, V> fmt::Debug for Stepper<'_, K, V> {
     }
 }
 
-/// A stepped `Insert` (Figure 8), driven one CAS at a time.
-///
-/// Step order: [`RawInsert::search`] → [`RawInsert::flag`] →
-/// [`RawInsert::execute_child`] → [`RawInsert::unflag`], or
-/// [`RawInsert::abandon`] at any point to simulate a crash.
-pub struct RawInsert<'t, K, V>(Stepper<'t, K, V>);
-
-impl<'t, K, V> RawInsert<'t, K, V>
-where
-    K: Ord + Clone,
-    V: Clone,
-{
-    /// Prepares an insert of `(key, value)`.
-    pub fn new(tree: &'t NbBst<K, V>, key: K, value: V) -> RawInsert<'t, K, V> {
-        RawInsert(Stepper::insert(tree, key, value))
-    }
-
-    /// Runs the `Search` (lines 49–51): locates the leaf to replace and
-    /// records the parent and its update word. After a failed
-    /// [`RawInsert::flag`] or a `Busy` search, first takes the pending
-    /// step that helps the blocker, as `Insert` does.
-    ///
-    /// # Panics
-    ///
-    /// Panics after a successful [`RawInsert::flag`].
-    pub fn search(&mut self) -> InsertSearch {
-        match self.0.search() {
-            Step::Done(_) => InsertSearch::Duplicate,
-            Step::Help => InsertSearch::Busy(self.0.blocker_state()),
-            _ => InsertSearch::Ready,
-        }
-    }
-
-    /// Helps the operation blocking the parent (the paper's line 51);
-    /// the next step is a new `Search`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`RawInsert::search`] returned [`InsertSearch::Busy`].
-    pub fn help_blocker(&mut self) {
-        self.0
-            .take(Step::Help, "help_blocker() requires a Busy search()");
-    }
-
-    /// Attempts the **iflag** CAS (line 56). On success the insertion is
-    /// guaranteed to complete (possibly via helpers).
-    ///
-    /// On failure, re-run [`RawInsert::search`], which first helps the
-    /// operation that holds the flag.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`RawInsert::search`] returned [`InsertSearch::Ready`].
-    pub fn flag(&mut self) -> bool {
-        self.0.take(Step::Flag, "flag() requires search()")
-    }
-
-    /// Attempts the **ichild** CAS (line 66 / 115 / 117). Returns whether
-    /// *this* call performed it (a helper may have beaten us; the insert
-    /// still completes either way).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`RawInsert::flag`] succeeded.
-    pub fn execute_child(&mut self) -> bool {
-        self.0.take(Step::Child, "execute_child() requires flag()")
-    }
-
-    /// Attempts the **iunflag** CAS (line 67). Returns whether this call
-    /// performed it.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`RawInsert::execute_child`] ran.
-    pub fn unflag(&mut self) -> bool {
-        self.0
-            .take(Step::Unflag, "unflag() requires execute_child()")
-    }
-
-    /// Takes the remaining steps of a flagged insert.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`RawInsert::flag`] succeeded.
-    pub fn complete(mut self) {
-        self.0.complete();
-    }
-
-    /// Simulates a crash: stop taking steps forever. If the operation was
-    /// already flagged, the published Info record lets any other thread
-    /// finish it.
-    pub fn abandon(self) {}
-}
-
-impl<K: fmt::Debug, V> fmt::Debug for RawInsert<'_, K, V> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.fmt(f)
-    }
-}
-
-/// A stepped `Delete` (Figure 9), driven one CAS at a time.
-///
-/// Step order: [`RawDelete::search`] → [`RawDelete::flag`] →
-/// [`RawDelete::mark`] → [`RawDelete::execute_child`] →
-/// [`RawDelete::unflag`]; after a failed `mark`, [`RawDelete::backtrack`];
-/// [`RawDelete::abandon`] anywhere simulates a crash.
-///
-/// When the search finds the key in a leaf that keeps other entries, the
-/// attempt replaces that leaf instead: `flag` is an iflag, `mark` takes no
-/// step, and `execute_child`/`unflag` are the ichild and iunflag CASes.
-pub struct RawDelete<'t, K, V>(Stepper<'t, K, V>);
-
-impl<'t, K, V> RawDelete<'t, K, V>
-where
-    K: Ord + Clone,
-    V: Clone,
-{
-    /// Prepares a delete of `key`.
-    pub fn new(tree: &'t NbBst<K, V>, key: K) -> RawDelete<'t, K, V> {
-        RawDelete(Stepper::delete(tree, key))
-    }
-
-    /// Runs the `Search` (lines 75–78), after the pending help step of a
-    /// failed [`RawDelete::flag`] or a `Busy` search.
-    ///
-    /// # Panics
-    ///
-    /// Panics while the delete is flagged.
-    pub fn search(&mut self) -> DeleteSearch {
-        match self.0.search() {
-            Step::Done(_) => DeleteSearch::NotFound,
-            Step::Help => DeleteSearch::Busy(self.0.blocker_state()),
-            _ => DeleteSearch::Ready,
-        }
-    }
-
-    /// Helps the operation blocking the grandparent or parent (the
-    /// paper's lines 77–78); the next step is a new `Search`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`RawDelete::search`] returned [`DeleteSearch::Busy`].
-    pub fn help_blocker(&mut self) {
-        self.0
-            .take(Step::Help, "help_blocker() requires a Busy search()");
-    }
-
-    /// Attempts the **dflag** CAS (line 81), or the iflag of a copy-delete.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`RawDelete::search`] returned [`DeleteSearch::Ready`].
-    pub fn flag(&mut self) -> bool {
-        self.0.take(Step::Flag, "flag() requires search()")
-    }
-
-    /// Attempts the **mark** CAS (line 91). A copy-delete has no mark step
-    /// and reports [`MarkOutcome::Marked`] without one.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`RawDelete::flag`] succeeded.
-    pub fn mark(&mut self) -> MarkOutcome {
-        if !self.0.op.splices() && self.0.op.next() == Step::Child {
-            return MarkOutcome::Marked;
-        }
-        if self.0.take(Step::Mark, "mark() requires flag()") {
-            MarkOutcome::Marked
-        } else {
-            MarkOutcome::Failed
-        }
-    }
-
-    /// Attempts the **dchild** CAS (line 105), or a copy-delete's ichild.
-    /// Returns whether this call performed it.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the parent was marked.
-    pub fn execute_child(&mut self) -> bool {
-        self.0.take(Step::Child, "execute_child() requires mark()")
-    }
-
-    /// Attempts the **dunflag** CAS (line 106), or a copy-delete's
-    /// iunflag. Returns whether this call performed it.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`RawDelete::execute_child`] ran.
-    pub fn unflag(&mut self) -> bool {
-        self.0
-            .take(Step::Unflag, "unflag() requires execute_child()")
-    }
-
-    /// After a failed mark, helps the operation that blocked it (line 97),
-    /// then attempts the **backtrack** CAS (line 98). Returns whether this
-    /// call performed the backtrack.
-    ///
-    /// The next step is a new `Search`: re-run [`RawDelete::search`] to
-    /// retry, as `Delete` does.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`RawDelete::mark`] failed.
-    pub fn backtrack(&mut self) -> bool {
-        self.0
-            .take(Step::Help, "backtrack() requires a failed mark()");
-        self.0
-            .take(Step::Backtrack, "backtrack() requires a failed mark()")
-    }
-
-    /// Takes the remaining steps of a flagged delete; returns whether the
-    /// deletion completed (`false` means it backtracked and must be
-    /// retried from [`RawDelete::search`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`RawDelete::flag`] succeeded.
-    pub fn complete(mut self) -> bool {
-        self.0.complete()
-    }
-
-    /// Simulates a crash: stop forever. Published state (the flag/mark and
-    /// Info record) stays in the tree for others to help or for teardown to
-    /// reclaim.
-    pub fn abandon(self) {}
-}
-
-impl<K: fmt::Debug, V> fmt::Debug for RawDelete<'_, K, V> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.fmt(f)
-    }
-}
-
 /// A stepped `Find`: descends one edge per [`RawFind::step`], so a test
 /// scheduler can interleave it with updates — exactly the adversarial
-/// schedule of the paper's Section 6.
+/// schedule of the paper's Section 6. Each edge is the one `Search` takes.
 pub struct RawFind<'t, K, V> {
     tree: &'t NbBst<K, V>,
     key: K,
@@ -545,9 +382,7 @@ where
         let NodeRef::Internal(cur) = self.node() else {
             return true;
         };
-        let go_left =
-            nbbst_dictionary::real_vs_node(&self.key, &cur.key) == std::cmp::Ordering::Less;
-        let next = cur.load_child(go_left, &self.guard);
+        let next = cur.child_toward(&self.key, &self.guard);
         self.cursor = next.into_data();
         self.steps += 1;
         next.is_leaf()
@@ -603,8 +438,8 @@ mod tests {
     #[test]
     fn stepped_insert_happy_path() {
         let t = tree_with(&[10, 30]);
-        let mut ins = RawInsert::new(&t, 20, 200);
-        assert_eq!(ins.search(), InsertSearch::Ready);
+        let mut ins = Stepper::insert(&t, 20, 200);
+        assert_eq!(ins.search(), SearchOutcome::Ready);
         assert!(ins.flag());
         assert!(ins.execute_child());
         assert!(ins.unflag());
@@ -617,8 +452,8 @@ mod tests {
     #[test]
     fn stepped_insert_duplicate_detected() {
         let t = tree_with(&[10]);
-        let mut ins = RawInsert::new(&t, 10, 0);
-        assert_eq!(ins.search(), InsertSearch::Duplicate);
+        let mut ins = Stepper::insert(&t, 10, 0);
+        assert_eq!(ins.search(), SearchOutcome::Done);
         drop(ins); // must free the speculative leaf
         t.check_invariants().unwrap();
     }
@@ -626,10 +461,10 @@ mod tests {
     #[test]
     fn stepped_delete_happy_path() {
         let t = tree_with(&[10, 20, 30]);
-        let mut del = RawDelete::new(&t, 20);
-        assert_eq!(del.search(), DeleteSearch::Ready);
+        let mut del = Stepper::delete(&t, 20);
+        assert_eq!(del.search(), SearchOutcome::Ready);
         assert!(del.flag());
-        assert_eq!(del.mark(), MarkOutcome::Marked);
+        assert!(del.mark());
         assert!(del.execute_child());
         assert!(del.unflag());
         assert!(!t.contains_key(&20));
@@ -640,14 +475,14 @@ mod tests {
     #[test]
     fn stepped_delete_not_found() {
         let t = tree_with(&[10]);
-        let mut del = RawDelete::new(&t, 99);
-        assert_eq!(del.search(), DeleteSearch::NotFound);
+        let mut del = Stepper::delete(&t, 99);
+        assert_eq!(del.search(), SearchOutcome::Done);
     }
 
     #[test]
     fn flagged_insert_is_helped_by_concurrent_update() {
         let t = tree_with(&[10]);
-        let mut ins = RawInsert::new(&t, 20, 200);
+        let mut ins = Stepper::insert(&t, 20, 200);
         assert!(ins.search().is_ready());
         assert!(ins.flag());
         ins.abandon(); // crash after iflag
@@ -665,7 +500,7 @@ mod tests {
     #[test]
     fn flagged_delete_is_helped_by_concurrent_update() {
         let t = tree_with(&[10, 20, 30]);
-        let mut del = RawDelete::new(&t, 20);
+        let mut del = Stepper::delete(&t, 20);
         assert!(del.search().is_ready());
         assert!(del.flag());
         del.abandon(); // crash after dflag, before mark
@@ -680,10 +515,10 @@ mod tests {
     #[test]
     fn marked_delete_is_helped_to_completion() {
         let t = tree_with(&[10, 20, 30]);
-        let mut del = RawDelete::new(&t, 20);
+        let mut del = Stepper::delete(&t, 20);
         assert!(del.search().is_ready());
         assert!(del.flag());
-        assert_eq!(del.mark(), MarkOutcome::Marked);
+        assert!(del.mark());
         del.abandon(); // crash between mark and dchild
 
         assert!(t.insert_entry(25, 0).is_ok());
@@ -699,13 +534,13 @@ mod tests {
         // restore Clean.
         let t = tree_with(&[10, 20]);
         // Delete(10): p is the internal node directly above leaf 10.
-        let mut del = RawDelete::new(&t, 10);
+        let mut del = Stepper::delete(&t, 10);
         assert!(del.search().is_ready());
         assert!(del.flag());
 
         // Concurrent Insert(15) flags p — the node the delete still has to
         // mark — and completes.
-        let mut ins = RawInsert::new(&t, 15, 150);
+        let mut ins = Stepper::insert(&t, 15, 150);
         assert!(ins.search().is_ready());
         assert!(ins.flag());
         assert!(ins.execute_child());
@@ -714,7 +549,7 @@ mod tests {
 
         // The mark CAS now fails (pupdate is stale), and the delete
         // backtracks; the tree is unchanged and still contains 10 and 15.
-        assert_eq!(del.mark(), MarkOutcome::Failed);
+        assert!(!del.mark());
         assert!(del.backtrack());
         assert!(t.contains_key(&10));
         assert!(t.contains_key(&15));
@@ -737,7 +572,7 @@ mod tests {
 
         // Insert(15) flags the parent the delete has yet to mark, and
         // crashes there.
-        let mut ins = RawInsert::new(&t, 15, 150);
+        let mut ins = Stepper::insert(&t, 15, 150);
         assert!(ins.search().is_ready());
         assert!(ins.flag());
         ins.abandon();
@@ -752,7 +587,7 @@ mod tests {
             t.contains_key(&15),
             "the delete completed the insert that blocked its mark"
         );
-        while !del.is_finished() {
+        while del.result().is_none() {
             del.step();
         }
         assert_eq!(del.result(), Some(true));
@@ -767,10 +602,10 @@ mod tests {
         // before the attempt restarts from Search.
         let t = tree_with(&[10, 20]);
         let mut ins = Stepper::insert(&t, 15, 150);
-        assert_eq!(ins.step(), StepOutcome::Running); // Search
+        assert_eq!(ins.step(), None); // Search
 
         // Insert(12) flags the same parent first, and crashes there.
-        let mut winner = RawInsert::new(&t, 12, 120);
+        let mut winner = Stepper::insert(&t, 12, 120);
         assert!(winner.search().is_ready());
         assert!(winner.flag());
         winner.abandon();
@@ -786,7 +621,7 @@ mod tests {
             t.contains_key(&12),
             "the loser completed the winner before searching again"
         );
-        while !ins.is_finished() {
+        while ins.result().is_none() {
             ins.step();
         }
         assert_eq!(ins.result(), Some(true));
@@ -811,7 +646,7 @@ mod tests {
     #[test]
     fn raw_ops_update_figure4_counters() {
         let t = tree_with(&[]);
-        let mut ins = RawInsert::new(&t, 1, 1);
+        let mut ins = Stepper::insert(&t, 1, 1);
         assert!(ins.search().is_ready());
         assert!(ins.flag());
         ins.complete();
@@ -825,7 +660,7 @@ mod tests {
     #[test]
     fn abandoned_unflagged_insert_leaks_nothing_into_tree() {
         let t = tree_with(&[10]);
-        let ins = RawInsert::new(&t, 20, 0);
+        let ins = Stepper::insert(&t, 20, 0);
         ins.abandon(); // never searched/flagged
         assert!(!t.contains_key(&20));
         assert_eq!(t.len_slow(), 1);
@@ -838,7 +673,7 @@ mod tests {
         let mut a = Stepper::delete(&t, 20);
         let mut b = Stepper::insert(&t, 25, 25);
         let mut steps = 0;
-        while !(a.is_finished() && b.is_finished()) {
+        while a.result().is_none() || b.result().is_none() {
             a.step();
             b.step();
             steps += 1;
@@ -856,13 +691,13 @@ mod tests {
     fn stepper_reports_false_outcomes() {
         let t = tree_with(&[10]);
         let mut dup = Stepper::insert(&t, 10, 0);
-        while !dup.is_finished() {
+        while dup.result().is_none() {
             dup.step();
         }
         assert_eq!(dup.result(), Some(false));
 
         let mut missing = Stepper::delete(&t, 99);
-        assert_eq!(missing.step(), StepOutcome::Finished(false));
+        assert_eq!(missing.step(), Some(false));
     }
 
     #[test]
@@ -870,15 +705,15 @@ mod tests {
         // Covers the Drop paths for stalled IFlag (with speculative
         // subtree), DFlag and Mark states.
         let t = tree_with(&[10, 20, 30]);
-        let mut ins = RawInsert::new(&t, 40, 0);
+        let mut ins = Stepper::insert(&t, 40, 0);
         assert!(ins.search().is_ready());
         assert!(ins.flag());
         ins.abandon();
 
-        let mut del = RawDelete::new(&t, 10);
+        let mut del = Stepper::delete(&t, 10);
         assert!(del.search().is_ready());
         assert!(del.flag());
-        assert_eq!(del.mark(), MarkOutcome::Marked);
+        assert!(del.mark());
         del.abandon();
 
         t.check_invariants_allowing(true).unwrap();
@@ -897,10 +732,10 @@ mod tests {
     #[test]
     fn stepped_delete_from_a_fat_leaf_replaces_it_by_copy() {
         let t = fat_tree_with(&[10, 20, 30]);
-        let mut del = RawDelete::new(&t, 20);
-        assert_eq!(del.search(), DeleteSearch::Ready);
+        let mut del = Stepper::delete(&t, 20);
+        assert_eq!(del.search(), SearchOutcome::Ready);
         assert!(del.flag(), "iflag on the leaf's parent");
-        assert_eq!(del.mark(), MarkOutcome::Marked, "no mark step");
+        assert!(del.mark(), "no mark step");
         assert!(del.execute_child());
         assert!(del.unflag());
         assert_eq!(t.keys_snapshot(), vec![10, 30]);
@@ -916,7 +751,7 @@ mod tests {
     #[test]
     fn copy_delete_parked_after_iflag_is_completed_by_a_helper() {
         let t = fat_tree_with(&[10, 20, 30]);
-        let mut del = RawDelete::new(&t, 20);
+        let mut del = Stepper::delete(&t, 20);
         assert!(del.search().is_ready());
         assert!(del.flag());
         del.abandon();
@@ -935,7 +770,7 @@ mod tests {
         let mut a = Stepper::delete(&t, 20);
         let mut b = Stepper::insert(&t, 25, 25);
         let mut steps = 0;
-        while !(a.is_finished() && b.is_finished()) {
+        while a.result().is_none() || b.result().is_none() {
             a.step();
             b.step();
             steps += 1;
@@ -952,7 +787,7 @@ mod tests {
         // Fill one leaf, park the insert that splits it after its iflag,
         // and drop the tree: teardown frees the unspliced split subtree.
         let t = fat_tree_with(&(0..crate::node::LEAF_CAPACITY as u64).collect::<Vec<_>>());
-        let mut ins = RawInsert::new(&t, 1_000, 0);
+        let mut ins = Stepper::insert(&t, 1_000, 0);
         assert!(ins.search().is_ready());
         assert!(ins.flag());
         ins.abandon();

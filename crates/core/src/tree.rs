@@ -5,9 +5,9 @@
 //! Each CAS step of the protocol has one function here (`iflag`, `ichild`,
 //! `iunflag`, `dflag`, `mark`, `dchild`, `dunflag`, `backtrack`). `Insert`
 //! and `Delete` are one step machine, [`Update`], which chains them; the
-//! public operations step it to completion and the drivers in
-//! [`crate::raw`] step it under test control, so tests run the shipped
-//! protocol. The helping routines call the same step functions.
+//! public operations step it to completion and [`crate::raw::Stepper`]
+//! steps it under test control, so tests run the shipped protocol. The
+//! helping routines call the same step functions.
 //!
 //! Each public operation pins the epoch collector once per *attempt* (the
 //! paper's retry loop iterations), so every pointer read during an attempt
@@ -25,12 +25,10 @@ use crate::node::{
 };
 use crate::state::State;
 use crate::stats::{StatsSnapshot, TreeStats};
-use nbbst_dictionary::{real_vs_node, ConcurrentMap, SentinelKey};
+use nbbst_dictionary::{ConcurrentMap, SentinelKey};
 use nbbst_reclaim::{Collector, Guard, Owned, Shared};
-use std::cmp::Ordering as CmpOrdering;
 use std::fmt;
 use std::sync::atomic::Ordering as AtomicOrdering;
-use std::sync::Arc;
 
 /// The non-blocking binary search tree of Ellen, Fatourou, Ruppert and
 /// van Breugel (PODC 2010).
@@ -102,7 +100,7 @@ pub struct NbBst<K, V> {
     /// this pointer is never changed" (Section 4.1).
     root: Box<Internal<K, V>>,
     collector: Collector,
-    stats: Option<Arc<TreeStats>>,
+    stats: Option<Box<TreeStats>>,
     /// Entries per leaf: `LEAF_CAPACITY`, or 1 for the paper's tree
     /// ([`NbBst::one_key_leaves`]).
     leaf_capacity: usize,
@@ -148,7 +146,7 @@ where
     /// (see [`NbBst::stats`]).
     pub fn with_stats() -> NbBst<K, V> {
         let mut t = NbBst::new();
-        t.stats = Some(Arc::new(TreeStats::default()));
+        t.stats = Some(Box::default());
         t
     }
 
@@ -171,7 +169,7 @@ where
     /// (see [`NbBst::stats`]).
     pub fn with_stats_and_collector(collector: Collector) -> NbBst<K, V> {
         let mut t = NbBst::with_collector(collector);
-        t.stats = Some(Arc::new(TreeStats::default()));
+        t.stats = Some(Box::default());
         t
     }
 
@@ -248,7 +246,7 @@ where
         let mut p: &'g Internal<K, V> = &self.root;
         let mut gpupdate = UpdateRef::null();
         let mut pupdate = p.load_update(guard);
-        let mut l = p.load_child(real_vs_node(key, &p.key) == CmpOrdering::Less, guard);
+        let mut l = p.child_toward(key, guard);
         loop {
             // SAFETY: `l` was read (under `guard`) from a child word of a
             // node reached from the root.
@@ -271,8 +269,7 @@ where
                     p = node; //                               line 29
                     gpupdate = pupdate; //                     line 30
                     pupdate = node.load_update(guard); //      line 31
-                    let go_left = real_vs_node(key, &node.key) == CmpOrdering::Less;
-                    l = node.load_child(go_left, guard); //    line 32
+                    l = node.child_toward(key, guard); //      line 32
                 }
             }
         }
@@ -749,10 +746,10 @@ pub(crate) enum Step {
 /// One `Insert` or `Delete`, as a machine that takes one [`Step`] at a
 /// time: the only implementation of the paper's update control flow.
 ///
-/// The public operations step it to completion; the drivers in
-/// [`crate::raw`] step it under test control. An Insert, and a Delete
-/// whose leaf keeps other entries, run `Flag → Child → Unflag` as iflag,
-/// ichild and iunflag; a Delete that would empty its leaf runs `Flag →
+/// The public operations step it to completion; [`crate::raw::Stepper`]
+/// steps it under test control. An Insert, and a Delete whose leaf keeps
+/// other entries, run `Flag → Child → Unflag` as iflag, ichild and
+/// iunflag; a Delete that would empty its leaf runs `Flag →
 /// Mark → Child → Unflag` as dflag, mark, dchild and dunflag. A failed
 /// flag or mark is followed by a `Help` step over the word that blocked
 /// it, then by a new `Search` or the `Backtrack`.
@@ -1063,68 +1060,22 @@ where
 
 impl<K, V> Drop for NbBst<K, V> {
     fn drop(&mut self) {
-        // `&mut self`: no concurrent operations. Free (1) every Info record
-        // still in a reachable update word (a record is retired only when
-        // a later flag displaces it, so the last record of every node, and
-        // any record of a "crashed" stepped operation, is still there),
-        // (2) for stalled leaf replacements, the replacement that was never
-        // installed, and (3) every node still reachable from the root.
-        //
-        // Displaced Info records were retired by their displacer and are
-        // freed by the collector, not here.
-        use std::collections::HashSet;
-
-        // SAFETY: teardown-only, single-threaded.
-        let guard = unsafe { nbbst_reclaim::unprotected() };
-        let mut reachable: HashSet<usize> = HashSet::new();
-        let mut infos: HashSet<*mut Info<K, V>> = HashSet::new();
-        let mut stalled_inserts = Vec::new();
-        let mut stack: Vec<&Internal<K, V>> = vec![&self.root];
-        while let Some(node) = stack.pop() {
-            // Relaxed: teardown holds exclusive access.
-            let u = node.update.load(AtomicOrdering::Relaxed, &guard);
-            if !u.is_null()
-                && infos.insert(u.as_raw() as *mut Info<K, V>)
-                && u.state() == State::IFlag
-            {
-                stalled_inserts.push(u);
-            }
-            for child in [&node.left, &node.right] {
-                let word = child.load(AtomicOrdering::Relaxed, &guard);
-                reachable.insert(word.as_raw() as usize);
-                // SAFETY: reachable children are live until freed below.
-                if let NodeRef::Internal(n) = unsafe { word.node() } {
-                    stack.push(n);
-                }
-            }
-        }
-        for u in stalled_inserts {
-            // SAFETY: collected above and not freed yet.
-            let new = unsafe { u.deref() }.as_insert().new_word();
-            if !reachable.contains(&(new.as_raw() as usize)) {
-                // SAFETY: a replacement that was never spliced in is
-                // owned only by its (stalled) IInfo record.
-                unsafe { new.free_subtree() };
-            }
-        }
-        for info in infos {
-            // SAFETY: records still in an update word were never retired
-            // (retirement happens only on displacement), so we own them.
-            unsafe { drop(Box::from_raw(info)) };
-        }
-        // SAFETY: every reachable node is freed exactly once; the root Box
-        // frees itself.
-        unsafe {
-            self.root
-                .left
-                .load(AtomicOrdering::Relaxed, &guard)
-                .free_subtree();
-            self.root
-                .right
-                .load(AtomicOrdering::Relaxed, &guard)
-                .free_subtree();
-        }
-        // The collector (dropped after this) frees everything that was
-        // retired during normal operation.
+        // `&mut self`: no concurrent operations. One pass frees every node
+        // still reachable from the root, the Info records their update
+        // words still hold, and the replacements that stalled leaf
+        // replacements never spliced in (`Internal::release`). Displaced
+        // records and unlinked nodes were retired, and the collector,
+        // dropped after this, frees them.
+        // SAFETY: exclusive access; the root `Box` frees itself.
+        unsafe { self.root.free_below() };
+        // glibc keeps freed blocks of up to 128 bytes, as every internal
+        // node and Info record is, in fastbins, and merges them with their
+        // free neighbours only when a request above its small-bin range
+        // (1 KiB) comes. Until then the next large structure the process
+        // builds is carved from the scattered blocks in this tree's free
+        // order: rebuilding perfbench's `read_mostly` tree (2^19 keys)
+        // after a drop took about 20% longer. One such request merges
+        // them now.
+        drop(std::hint::black_box(Vec::<u8>::with_capacity(4096)));
     }
 }

@@ -393,7 +393,7 @@ where
             if node.key.as_key() == Some(key) {
                 return Some(node.load_update(&guard).state());
             }
-            word = node.load_child(real_vs_node(key, &node.key) == CmpOrdering::Less, &guard);
+            word = node.child_toward(key, &guard);
         }
     }
 }
@@ -470,9 +470,9 @@ mod tests {
 
     #[test]
     fn invariant_checker_flags_inflight_states_only_when_asked() {
-        use crate::raw::RawInsert;
+        use crate::raw::Stepper;
         let t = tree(&[10]);
-        let mut ins = RawInsert::new(&t, 20, 20);
+        let mut ins = Stepper::insert(&t, 20, 20);
         assert!(ins.search().is_ready());
         assert!(ins.flag());
         // Strict check rejects the IFlag; tolerant check accepts.

@@ -82,7 +82,6 @@ fn parked_writers_garbage_is_freed_by_unrelated_thread() {
     // deferred bytes return to zero — nothing is stranded, so the peak is
     // the high-water mark of a *draining* queue, not an unbounded leak.
     assert_eq!(stats.deferred_bytes, 0, "{stats:?}");
-    assert_eq!(stats.evictable, 0, "{stats:?}");
     assert!(stats.peak_deferred_bytes > 0, "{stats:?}");
     assert!(
         stats.bags_stolen > 0,

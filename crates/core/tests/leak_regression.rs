@@ -15,7 +15,7 @@
 //! cross-checked against the `with_stats` CAS counters proving the
 //! intended path actually ran.
 
-use nbbst_core::raw::RawInsert;
+use nbbst_core::raw::Stepper;
 use nbbst_core::NbBst;
 use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::Arc;
@@ -94,7 +94,7 @@ fn failed_iflag_frees_speculative_nodes() {
 
         // The stepped insert lands on leaf 10's parent and records its
         // update word...
-        let mut stalled = RawInsert::new(&tree, 11, Token::new(&live));
+        let mut stalled = Stepper::insert(&tree, 11, Token::new(&live));
         assert!(stalled.search().is_ready());
 
         // ...then a full insert of an adjacent key runs an entire
@@ -139,7 +139,7 @@ fn public_insert_retries_after_flag_contention_without_leaking() {
         tree.insert_entry(20, Token::new(&live)).unwrap();
 
         // Flag-and-crash an insert of 21: the parent stays IFlag'd.
-        let mut stalled = RawInsert::new(&tree, 21, Token::new(&live));
+        let mut stalled = Stepper::insert(&tree, 21, Token::new(&live));
         assert!(stalled.search().is_ready());
         assert!(stalled.flag(), "quiet tree: iflag must win");
         stalled.abandon();

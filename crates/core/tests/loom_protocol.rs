@@ -196,9 +196,9 @@ fn mark_fails_then_backtracks() {
 }
 
 /// Scenario 4 — **helper completes a crashed delete**: the root model
-/// thread drives a `raw::RawDelete` of key 1 through dflag + mark and then
-/// *crashes* (abandons the driver, leaving the grandparent flagged and the
-/// parent permanently marked). A second thread inserts key 2 into the same
+/// thread steps a delete of key 1 (`raw::Stepper`) through dflag + mark
+/// and then *crashes* (abandons it, leaving the grandparent flagged and
+/// the parent permanently marked). A second thread inserts key 2 into the same
 /// corner: its search runs into the stale flag, reads the published DInfo,
 /// and must complete the stranded deletion (dchild + dunflag) before its
 /// own insert can proceed — the paper's core non-blocking claim.
@@ -213,10 +213,10 @@ fn helper_completes_crashed_delete() {
             {
                 // Crash a delete mid-protocol: flagged + marked, child CAS
                 // and unflag left for helpers.
-                let mut del = nbbst_core::raw::RawDelete::new(&tree, 1);
+                let mut del = nbbst_core::raw::Stepper::delete(&tree, 1);
                 assert!(del.search().is_ready(), "key 1 is present");
                 assert!(del.flag(), "no contention yet: dflag must win");
-                assert_eq!(del.mark(), nbbst_core::raw::MarkOutcome::Marked);
+                assert!(del.mark());
                 del.abandon();
             }
 
@@ -312,10 +312,10 @@ fn three_threads_insert_delete_helper() {
             {
                 // Strand a delete of key 1: flagged + marked, child CAS and
                 // unflag left for whichever thread reaches the corner first.
-                let mut del = nbbst_core::raw::RawDelete::new(&tree, 1);
+                let mut del = nbbst_core::raw::Stepper::delete(&tree, 1);
                 assert!(del.search().is_ready(), "key 1 is present");
                 assert!(del.flag(), "no contention yet: dflag must win");
-                assert_eq!(del.mark(), nbbst_core::raw::MarkOutcome::Marked);
+                assert!(del.mark());
                 del.abandon();
             }
 

@@ -257,9 +257,6 @@ pub struct ReclaimStats {
     pub epoch_advances: u64,
     /// Current global epoch.
     pub global_epoch: u64,
-    /// Objects currently published to the evictable registry (sealed but
-    /// not yet freed).
-    pub evictable: u64,
     /// Sealed bags handed over for any thread to free so far: full bags
     /// pushed to the evictable registry, plus parked bags that a
     /// collection pass took from their owner's slot.
@@ -298,8 +295,6 @@ struct Global {
     bags_published: CounterU64,
     bags_stolen: CounterU64,
     bags_freed: CounterU64,
-    /// Items currently in the evictable registry.
-    evictable_items: CounterU64,
     peak_deferred_bytes: CounterU64,
 }
 
@@ -317,7 +312,6 @@ impl Global {
             bags_published: CounterU64::new(0),
             bags_stolen: CounterU64::new(0),
             bags_freed: CounterU64::new(0),
-            evictable_items: CounterU64::new(0),
             peak_deferred_bytes: CounterU64::new(0),
         }
     }
@@ -463,8 +457,6 @@ impl Global {
     /// push). After this returns, any thread may steal and free the bag
     /// once its epoch has passed.
     fn publish_bag(&self, node: *mut Bag) {
-        // SAFETY: the caller owns the sealed bag until the CAS below.
-        let items = unsafe { (*node).len } as u64;
         // The observed head is only re-linked as the new bag's `next`; the
         // publisher never dereferences it (a stealer may already own it).
         let mut head = self.evictable.load(Ordering::Relaxed);
@@ -480,7 +472,6 @@ impl Global {
             }
         }
         self.bags_published.fetch_add(1, Ordering::Relaxed);
-        self.evictable_items.fetch_add(items, Ordering::Relaxed);
     }
 
     /// Steals the entire evictable registry, frees every bag that `caller`
@@ -549,10 +540,6 @@ impl Global {
                     Err(h) => head = h,
                 }
             }
-        }
-        if freed.items > 0 {
-            self.evictable_items
-                .fetch_sub(freed.items, Ordering::Relaxed);
         }
         freed.commit(self);
     }
@@ -728,10 +715,10 @@ impl Collector {
     ///
     /// Because every outermost unpin seals the thread's garbage where any
     /// thread can steal it (its participant slot or the evictable
-    /// registry), draining does not require any other thread to cooperate —
-    /// it only requires that no thread holds an old epoch pinned. This helper yields between passes to absorb exactly
-    /// that window. Tests and teardown paths use it; correctness never
-    /// requires it.
+    /// registry), draining does not require any other thread to cooperate
+    /// — it only requires that no thread holds an old epoch pinned. This
+    /// helper yields between passes to absorb exactly that window. Tests
+    /// and teardown paths use it; correctness never requires it.
     pub fn try_drain(&self, attempts: usize) -> bool {
         for _ in 0..attempts {
             let s = self.stats();
@@ -774,7 +761,6 @@ impl Collector {
             freed,
             epoch_advances: g.advances.load(Ordering::Relaxed),
             global_epoch: g.epoch.load(Ordering::Relaxed),
-            evictable: g.evictable_items.load(Ordering::Relaxed),
             bags_published: g.bags_published.load(Ordering::Relaxed),
             bags_stolen: g.bags_stolen.load(Ordering::Relaxed),
             bags_freed: g.bags_freed.load(Ordering::Relaxed),
@@ -1230,7 +1216,6 @@ mod tests {
         }
         assert_eq!(drops.load(Ordering::SeqCst), 100);
         let stats = collector.stats();
-        assert_eq!(stats.evictable, 0);
         assert_eq!(stats.deferred_bytes, 0);
         assert!(stats.peak_deferred_bytes > 0);
     }

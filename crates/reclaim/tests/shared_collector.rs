@@ -85,7 +85,6 @@ fn garbage_from_many_clones_drains_through_one() {
     assert!(root.try_drain(10_000), "{:?}", root.stats());
     let s = root.stats();
     assert_eq!(s.retired, s.freed, "{s:?}");
-    assert_eq!(s.evictable, 0, "{s:?}");
     assert_eq!(s.deferred_bytes, 0, "{s:?}");
     // The per-thread churns handed bags over (full ones to the registry,
     // parked ones to the participant scans); cross-thread frees go through

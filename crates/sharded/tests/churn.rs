@@ -6,8 +6,8 @@
 //! This mirrors `crates/core/tests/churn.rs` but stresses what sharding
 //! adds: retirements from N trees land in ONE evictable-bag registry
 //! (DESIGN.md §10/§11), so a drain through any clone covers all shards,
-//! and dropping the map must leave zero evictable bags and zero deferred
-//! bytes behind.
+//! and dropping the map must leave nothing retired unfreed and zero
+//! deferred bytes behind.
 
 use nbbst_reclaim::Collector;
 use nbbst_sharded::ShardedNbBst;
@@ -89,7 +89,6 @@ fn dropped_sharded_map_leaves_no_evictable_garbage() {
     // The teardown contract for sharded frontends (DESIGN.md §11):
     // nothing any shard retired is stranded once the map is gone.
     assert_eq!(stats.retired, stats.freed, "{stats:?}");
-    assert_eq!(stats.evictable, 0, "{stats:?}");
     assert_eq!(stats.deferred_bytes, 0, "{stats:?}");
     assert!(stats.peak_deferred_bytes > 0, "{stats:?}");
     assert!(

@@ -5,7 +5,7 @@
 //! cargo run --example schedule_explorer
 //! ```
 
-use nbbst::core::raw::{MarkOutcome, RawDelete, RawInsert};
+use nbbst::core::raw::Stepper;
 use nbbst::NbBst;
 
 fn show(title: &str, tree: &NbBst<u64, u64>) {
@@ -21,7 +21,7 @@ fn main() {
     show("initial tree (keys 10, 30, 50)", &tree);
 
     println!("[Delete(50)] Search finds leaf 50, parent and grandparent.");
-    let mut del = RawDelete::new(&tree, 50);
+    let mut del = Stepper::delete(&tree, 50);
     assert!(del.search().is_ready());
 
     println!("[Delete(50)] dflag CAS: grandparent Clean -> DFlag, publishing a DInfo record.");
@@ -29,7 +29,7 @@ fn main() {
     show("after dflag", &tree);
 
     println!("[Insert(60)] Search finds leaf 50's replacement point; parent is Clean.");
-    let mut ins = RawInsert::new(&tree, 60, 60);
+    let mut ins = Stepper::insert(&tree, 60, 60);
     assert!(ins.search().is_ready());
 
     println!("[Insert(60)] iflag CAS: parent Clean -> IFlag, publishing an IInfo record.");
@@ -49,7 +49,7 @@ fn main() {
     drop(ins);
 
     println!("[Delete(50)] mark CAS: FAILS — the parent's update word changed since Search.");
-    assert_eq!(del.mark(), MarkOutcome::Failed);
+    assert!(!del.mark());
 
     println!("[Delete(50)] backtrack CAS: grandparent DFlag -> Clean; the delete retries.");
     assert!(del.backtrack());
@@ -61,7 +61,7 @@ fn main() {
     println!("[Delete(50)] retry: Search, dflag, mark, dchild, dunflag.");
     assert!(del.search().is_ready());
     assert!(del.flag());
-    assert_eq!(del.mark(), MarkOutcome::Marked);
+    assert!(del.mark());
     show("after mark — the parent is frozen forever", &tree);
     assert!(del.execute_child());
     assert!(del.unflag());

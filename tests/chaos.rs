@@ -6,7 +6,7 @@
 //! finally validate structure, Figure-4 circuit identities (abandoned-
 //! tolerant) and membership/snapshot agreement.
 
-use nbbst::core::raw::{DeleteSearch, MarkOutcome, RawDelete, RawInsert};
+use nbbst::core::raw::{SearchOutcome, Stepper};
 use nbbst::{ConcurrentMap, NbBst};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -23,7 +23,7 @@ fn plant_corpses(tree: &NbBst<u64, u64>, rng: &mut SmallRng, n: usize) -> usize 
             0 => {
                 // Insert crashed after iflag.
                 let k = rng.gen_range(0..RANGE * 2);
-                let mut ins = RawInsert::new(tree, k, k);
+                let mut ins = Stepper::insert(tree, k, k);
                 if ins.search().is_ready() && ins.flag() {
                     planted += 1;
                     ins.abandon();
@@ -32,8 +32,8 @@ fn plant_corpses(tree: &NbBst<u64, u64>, rng: &mut SmallRng, n: usize) -> usize 
             1 => {
                 // Delete crashed after dflag.
                 let k = rng.gen_range(0..RANGE);
-                let mut del = RawDelete::new(tree, k);
-                if del.search() == DeleteSearch::Ready && del.flag() {
+                let mut del = Stepper::delete(tree, k);
+                if del.search() == SearchOutcome::Ready && del.flag() {
                     planted += 1;
                     del.abandon();
                 }
@@ -41,11 +41,8 @@ fn plant_corpses(tree: &NbBst<u64, u64>, rng: &mut SmallRng, n: usize) -> usize 
             _ => {
                 // Delete crashed after mark.
                 let k = rng.gen_range(0..RANGE);
-                let mut del = RawDelete::new(tree, k);
-                if del.search() == DeleteSearch::Ready
-                    && del.flag()
-                    && del.mark() == MarkOutcome::Marked
-                {
+                let mut del = Stepper::delete(tree, k);
+                if del.search() == SearchOutcome::Ready && del.flag() && del.mark() {
                     planted += 1;
                     del.abandon();
                 }

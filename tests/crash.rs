@@ -1,7 +1,7 @@
 //! T6 integration tests: non-blocking progress with crashed operations
 //! stalled at every point of the Figure 4 circuits.
 
-use nbbst::core::raw::{DeleteSearch, MarkOutcome, RawDelete, RawInsert};
+use nbbst::core::raw::{SearchOutcome, Stepper};
 use nbbst::{ConcurrentMap, NbBst};
 
 /// Builds a tree with keys 0..n.
@@ -16,7 +16,7 @@ fn tree_with_range(n: u64) -> NbBst<u64, u64> {
 #[test]
 fn survivors_progress_past_insert_crashed_after_iflag() {
     let t = tree_with_range(8);
-    let mut ins = RawInsert::new(&t, 100, 100);
+    let mut ins = Stepper::insert(&t, 100, 100);
     assert!(ins.search().is_ready());
     assert!(ins.flag());
     ins.abandon();
@@ -45,8 +45,8 @@ fn survivors_progress_past_insert_crashed_after_iflag() {
 #[test]
 fn survivors_progress_past_delete_crashed_after_dflag() {
     let t = tree_with_range(8);
-    let mut del = RawDelete::new(&t, 3);
-    assert_eq!(del.search(), DeleteSearch::Ready);
+    let mut del = Stepper::delete(&t, 3);
+    assert_eq!(del.search(), SearchOutcome::Ready);
     assert!(del.flag());
     del.abandon();
 
@@ -78,10 +78,10 @@ fn survivors_progress_past_delete_crashed_after_dflag() {
 #[test]
 fn survivors_progress_past_delete_crashed_after_mark() {
     let t = tree_with_range(8);
-    let mut del = RawDelete::new(&t, 5);
-    assert_eq!(del.search(), DeleteSearch::Ready);
+    let mut del = Stepper::delete(&t, 5);
+    assert_eq!(del.search(), SearchOutcome::Ready);
     assert!(del.flag());
-    assert_eq!(del.mark(), MarkOutcome::Marked);
+    assert!(del.mark());
     del.abandon();
 
     std::thread::scope(|s| {
@@ -117,7 +117,7 @@ fn many_simultaneous_crashes_do_not_block_progress() {
     }
     let mut crashed = Vec::new();
     for i in 0..10u64 {
-        let mut ins = RawInsert::new(&t, i * 10 + 5, 0);
+        let mut ins = Stepper::insert(&t, i * 10 + 5, 0);
         if ins.search().is_ready() && ins.flag() {
             crashed.push(ins);
         }
@@ -158,7 +158,7 @@ fn blocked_updates_complete_the_blocking_operation_first() {
     // Deterministic single-threaded version: an update that runs into a
     // crashed flag completes that operation before its own.
     let t = tree_with_range(2);
-    let mut ins = RawInsert::new(&t, 10, 10);
+    let mut ins = Stepper::insert(&t, 10, 10);
     assert!(ins.search().is_ready());
     assert!(ins.flag());
     ins.abandon();
@@ -189,12 +189,12 @@ fn leaf_replacement_parked_after_iflag_is_completed_by_a_helper() {
         }
         assert_eq!(t.height(), 2, "one leaf holds all eight keys");
         if park_delete {
-            let mut del = RawDelete::new(&t, 3);
-            assert_eq!(del.search(), DeleteSearch::Ready);
+            let mut del = Stepper::delete(&t, 3);
+            assert_eq!(del.search(), SearchOutcome::Ready);
             assert!(del.flag());
             del.abandon();
         } else {
-            let mut ins = RawInsert::new(&t, 100, 100);
+            let mut ins = Stepper::insert(&t, 100, 100);
             assert!(ins.search().is_ready());
             assert!(ins.flag());
             ins.abandon();

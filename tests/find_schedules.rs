@@ -40,12 +40,12 @@ fn run_schedule(initial: &[u64], find_key: u64, update: Op, schedule: u64) -> bo
     let mut upd = stepper(&tree, update);
     let mut find_done = false;
     let mut steps = 0u32;
-    while !find_done || !upd.is_finished() {
+    while !find_done || upd.result().is_none() {
         assert!(steps < 64, "schedule {schedule:#b} diverged");
         let pick_find = (schedule >> steps) & 1 == 0;
         if pick_find && !find_done {
             find_done = find.step();
-        } else if !upd.is_finished() {
+        } else if upd.result().is_none() {
             upd.step();
         } else {
             find_done = find.step();

@@ -2,7 +2,7 @@
 //! single-CAS tree, harmless on the EFRB tree.
 
 use nbbst::baselines::naive::{CommitOutcome, NaiveBst};
-use nbbst::core::raw::{MarkOutcome, RawDelete, RawInsert};
+use nbbst::core::raw::Stepper;
 use nbbst::NbBst;
 
 const A: u64 = 10;
@@ -51,13 +51,13 @@ fn figure3c_naive_loses_inserted_key() {
 #[test]
 fn figure3b_schedule_rejected_by_efrb() {
     let t = efrb_with_figure3_keys();
-    let mut del_c = RawDelete::new(&t, C);
-    let mut del_e = RawDelete::new(&t, E);
+    let mut del_c = Stepper::delete(&t, C);
+    let mut del_e = Stepper::delete(&t, E);
     assert!(del_c.search().is_ready());
     assert!(del_e.search().is_ready());
     // Delete(E) completes first.
     assert!(del_e.flag());
-    assert_eq!(del_e.mark(), MarkOutcome::Marked);
+    assert!(del_e.mark());
     del_e.execute_child();
     del_e.unflag();
     // Delete(C)'s stale attempt must be rejected at least once.
@@ -68,18 +68,14 @@ fn figure3b_schedule_rejected_by_efrb() {
             assert!(del_c.search().is_ready());
             continue;
         }
-        match del_c.mark() {
-            MarkOutcome::Marked => {
-                del_c.execute_child();
-                del_c.unflag();
-                break;
-            }
-            MarkOutcome::Failed => {
-                rejected += 1;
-                assert!(del_c.backtrack());
-                assert!(del_c.search().is_ready());
-            }
+        if del_c.mark() {
+            del_c.execute_child();
+            del_c.unflag();
+            break;
         }
+        rejected += 1;
+        assert!(del_c.backtrack());
+        assert!(del_c.search().is_ready());
     }
     assert!(rejected > 0, "stale snapshot must be rejected");
     assert!(!t.contains_key(&C));
@@ -91,11 +87,11 @@ fn figure3b_schedule_rejected_by_efrb() {
 #[test]
 fn figure3c_schedule_rejected_by_efrb() {
     let t = efrb_with_figure3_keys();
-    let mut del_e = RawDelete::new(&t, E);
+    let mut del_e = Stepper::delete(&t, E);
     assert!(del_e.search().is_ready());
     assert!(del_e.flag());
 
-    let mut ins_f = RawInsert::new(&t, F, F);
+    let mut ins_f = Stepper::insert(&t, F, F);
     assert!(ins_f.search().is_ready());
     assert!(ins_f.flag());
     assert!(ins_f.execute_child());
@@ -103,7 +99,7 @@ fn figure3c_schedule_rejected_by_efrb() {
     drop(ins_f);
 
     // The doomed delete backtracks instead of unlinking F's subtree.
-    assert_eq!(del_e.mark(), MarkOutcome::Failed);
+    assert!(!del_e.mark());
     assert!(del_e.backtrack());
     assert!(t.contains_key(&F), "no Figure 3(c) lost insert");
     assert!(
@@ -114,7 +110,7 @@ fn figure3c_schedule_rejected_by_efrb() {
     // The retried delete succeeds cleanly.
     assert!(del_e.search().is_ready());
     assert!(del_e.flag());
-    assert_eq!(del_e.mark(), MarkOutcome::Marked);
+    assert!(del_e.mark());
     del_e.execute_child();
     del_e.unflag();
     assert!(!t.contains_key(&E));

@@ -74,15 +74,15 @@ fn run_schedule(initial: &[u64], a: Op, b: Op, schedule: u64) -> u32 {
     let mut db = stepper(&tree, b);
 
     let mut steps = 0u32;
-    while !(da.is_finished() && db.is_finished()) {
+    while da.result().is_none() || db.result().is_none() {
         assert!(
             steps < 64,
             "schedule {schedule:#b} for {a:?} || {b:?} did not terminate"
         );
         let pick_a = (schedule >> steps) & 1 == 0;
-        if pick_a && !da.is_finished() {
+        if pick_a && da.result().is_none() {
             da.step();
-        } else if !db.is_finished() {
+        } else if db.result().is_none() {
             db.step();
         } else {
             da.step();

@@ -75,13 +75,13 @@ fn run_random_schedule(initial: &[u64], ops: &[Op], seed: u64) {
         ops.iter().map(|&op| stepper(&tree, op)).collect();
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut steps = 0;
-    while drivers.iter().any(|d| !d.is_finished()) {
+    while drivers.iter().any(|d| d.result().is_none()) {
         steps += 1;
         assert!(steps < 512, "seed {seed}: schedule did not terminate");
         let live: Vec<usize> = drivers
             .iter()
             .enumerate()
-            .filter(|(_, d)| !d.is_finished())
+            .filter(|(_, d)| d.result().is_none())
             .map(|(i, _)| i)
             .collect();
         let pick = live[rng.gen_range(0..live.len())];
